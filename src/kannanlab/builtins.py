@@ -8,6 +8,9 @@ command line, and from the regression suite.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Callable
+
 from .metric import (
     FiniteMetricSpace,
     SelfMap,
@@ -74,14 +77,30 @@ def thirds_grid(cells: int = 100) -> tuple[FiniteMetricSpace, SelfMap, SelfMap]:
     return space, t, identity_map(space)
 
 
-BUILTIN_SPACES = {
-    "ex-3.24": five_point_pair,
-    "ex-3.26": three_point_cycle,
-    "ex-3.34": harmonic_pair,
-    "ex-3.35": five_point_pair,
-    "koparde-demo": thirds_grid,
-    "patel-deheri-demo": harmonic_pair,
+@dataclass(frozen=True)
+class Example:
+    """One catalog entry: its space and operator pair, the gallery member
+    (name and parameters) and c constant conventionally paired with it, and
+    the theorem it illustrates with that theorem's degree ``w`` and base
+    point ``x0`` where the entry fixes them."""
+
+    build: Callable[[], tuple[FiniteMetricSpace, SelfMap, SelfMap]]
+    sigma: tuple[str, dict[str, float]]
+    theorem: str
+    c: float = 1.0
+    w: int | None = None
+    x0: str | None = None
+
+
+EXAMPLES = {
+    "ex-3.24": Example(five_point_pair, ("linear", {"slope": 3.0 / 7.0}), "T3.18"),
+    "ex-3.26": Example(three_point_cycle, ("tau", {}), "T3.18"),
+    "ex-3.34": Example(harmonic_pair, ("chi", {"alpha": 1.0 / 3.0}), "T3.29", w=1),
+    "ex-3.35": Example(five_point_pair, ("chi", {"alpha": 0.45}), "T3.29", w=1),
+    "koparde-demo": Example(thirds_grid, ("chi", {"alpha": 0.3}), "C3.31", w=2, x0="1.00"),
+    "patel-deheri-demo": Example(harmonic_pair, ("chi", {"alpha": 1.0 / 3.0}), "C3.32", w=1),
 }
+BUILTIN_SPACES = {name: example.build for name, example in EXAMPLES.items()}
 
 
 def builtin_triple(name: str) -> tuple[FiniteMetricSpace, SelfMap, SelfMap]:
@@ -94,25 +113,11 @@ def builtin_triple(name: str) -> tuple[FiniteMetricSpace, SelfMap, SelfMap]:
 
 def builtin_sigma(name: str) -> tuple[ComparisonFn | None, float]:
     """Comparison function and c constant conventionally paired with an entry."""
-    if name == "ex-3.24":
-        return gallery("linear", slope=3.0 / 7.0), 1.0
-    if name == "ex-3.26":
-        return gallery("tau"), 1.0
-    if name in ("ex-3.34", "patel-deheri-demo"):
-        return gallery("chi", alpha=1.0 / 3.0), 1.0
-    if name == "ex-3.35":
-        return gallery("chi", alpha=0.45), 1.0
-    if name == "koparde-demo":
-        return gallery("chi", alpha=0.3), 1.0
-    return None, 1.0
+    if name not in EXAMPLES:
+        return None, 1.0
+    member, params = EXAMPLES[name].sigma
+    return gallery(member, **params), EXAMPLES[name].c
 
 
 def builtin_theorem_id(name: str) -> str | None:
-    return {
-        "ex-3.24": "T3.18",
-        "ex-3.26": "T3.18",
-        "ex-3.34": "T3.29",
-        "ex-3.35": "T3.29",
-        "koparde-demo": "C3.31",
-        "patel-deheri-demo": "C3.32",
-    }.get(name)
+    return EXAMPLES[name].theorem if name in EXAMPLES else None

@@ -16,7 +16,14 @@ from dataclasses import replace
 from .conditions import PairMode, check_condition
 from .metric import MetricInvalid
 from .picard import NoClrBase, SolveKind, diagnose, solve
-from .report import document, render_json, render_text
+from .report import (
+    condition_summary,
+    document,
+    render_json,
+    render_text,
+    solve_summary,
+    witness_summary,
+)
 from .scenario import ParseError, ScenarioDoc, ValidationError, parse_scenario
 from .sigma import classify
 from .theorems import MalformedScenario, UnknownExample, reproduce, run_theorem
@@ -185,21 +192,10 @@ def _class_dict(verdict) -> dict:
     if verdict.failing_axiom is not None:
         out["failing_axiom"] = verdict.failing_axiom.value
     if verdict.witness is not None:
-        out["witness"] = _witness_dict(verdict.witness)
+        out["witness"] = witness_summary(verdict.witness, first_terms=8)
     if verdict.detail:
         out["detail"] = verdict.detail
     return out
-
-
-def _witness_dict(w) -> dict:
-    if w.family == "pair":
-        a, b = w.components
-        return {"family": "pair", "a": _witness_dict(a), "b": _witness_dict(b)}
-    return {
-        "family": w.family,
-        **{k: v for k, v in w.params},
-        "first_terms": list(w.first_terms[:8]),
-    }
 
 
 def _cmd_check(args, doc: ScenarioDoc):
@@ -210,15 +206,8 @@ def _cmd_check(args, doc: ScenarioDoc):
     body = {
         "scenario": _scenario_echo(doc),
         "condition": doc.condition.describe(),
-        "holds": report.holds,
-        "pairs_checked": report.pairs_checked,
-        "pairs_skipped": report.pairs_skipped,
+        **condition_summary(report),
     }
-    if report.witness is not None:
-        w = report.witness
-        body["witness"] = {"pair": [w.x, w.y], "t": w.t, "s": w.s, "value": w.value}
-        if w.required_alpha is not None:
-            body["witness"]["required_alpha"] = w.required_alpha
     return (EXIT_OK if report.holds else EXIT_FALSIFIED), body
 
 
@@ -255,12 +244,7 @@ def _cmd_solve(args, doc: ScenarioDoc):
         return EXIT_FALSIFIED, {"scenario": _scenario_echo(doc), "error": str(e)}
     body = {
         "scenario": _scenario_echo(doc),
-        "result": {
-            "kind": result.kind.value,
-            "point": result.point,
-            "iterations": result.iterations,
-            "cycle_points": list(result.cycle_points),
-        },
+        "result": solve_summary(result),
         "trace": _trace_summary(result.trace),
     }
     if len(result.trace.points) >= 2:

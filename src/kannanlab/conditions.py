@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .metric import DEFAULT_TOL, FiniteMetricSpace, SelfMap, SpaceMismatch, identity_map
+from .metric import DEFAULT_TOL, FiniteMetricSpace, SelfMap, identity_map, require_same_space
 from .sigma import ComparisonFn
 
 
@@ -124,15 +124,10 @@ def check_condition(
     classical forms ignore the auxiliary map.  The witness is the first
     failing pair in lexicographic index order.
     """
-    if t_map.space is not space and t_map.space != space:
-        raise SpaceMismatch("first map lives on a different space")
-    if s_map is None:
-        s_map = identity_map(space)
-    if s_map.space is not space and s_map.space != space:
-        raise SpaceMismatch("second map lives on a different space")
+    require_same_space(space, t_map, s_map)
 
     kind = spec.kind
-    if kind in (
+    if s_map is None or kind in (
         ConditionKind.CLASSICAL_KANNAN,
         ConditionKind.SIGMA_KANNAN,
         ConditionKind.KOPARDE_WAGHMODE,
@@ -227,8 +222,7 @@ def kannan_supremum(space: FiniteMetricSpace, t_map: SelfMap) -> KannanSupremum:
     denominator makes the supremum unbounded; with no image-separated pair
     at all the supremum of the empty set is reported as 0.
     """
-    if t_map.space is not space and t_map.space != space:
-        raise SpaceMismatch("map lives on a different space")
+    require_same_space(space, t_map)
     d = space.d
     t_of = t_map.assignment
     best = 0.0

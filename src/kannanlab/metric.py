@@ -220,8 +220,7 @@ class SelfMap:
 
     def compose(self, inner: "SelfMap") -> "SelfMap":
         """Return self after inner (``(self . inner)(x) = self(inner(x))``)."""
-        if inner.space is not self.space and inner.space != self.space:
-            raise SpaceMismatch("cannot compose maps living on different spaces")
+        require_same_space(self.space, inner)
         return SelfMap(self.space, tuple(self.assignment[v] for v in inner.assignment))
 
     def preimages(self, target: int) -> tuple[int, ...]:
@@ -229,6 +228,13 @@ class SelfMap:
 
     def fixed_indices(self) -> tuple[int, ...]:
         return tuple(i for i, v in enumerate(self.assignment) if v == i)
+
+
+def require_same_space(space: FiniteMetricSpace, *maps: SelfMap | None) -> None:
+    """Raise :class:`SpaceMismatch` unless every given map lives on ``space``."""
+    for m in maps:
+        if m is not None and m.space is not space and m.space != space:
+            raise SpaceMismatch("map lives on a different space")
 
 
 def build_self_map(space: FiniteMetricSpace, assignment) -> SelfMap:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
-from .metric import DEFAULT_TOL, FiniteMetricSpace, SelfMap, SpaceMismatch
+from .metric import DEFAULT_TOL, FiniteMetricSpace, SelfMap, require_same_space
 
 DEFAULT_MAX_ITER = 10_000
 TAIL_WINDOW = 10
@@ -58,12 +58,6 @@ class PicardTrace:
         return tuple(self.space.labels[i] for i in self.points[self.cycle.start : stop])
 
 
-def _check_pair(space: FiniteMetricSpace, t_map: SelfMap, s_map: SelfMap) -> None:
-    for m in (t_map, s_map):
-        if m.space is not space and m.space != space:
-            raise SpaceMismatch("map lives on a different space")
-
-
 def find_clr_base(
     space: FiniteMetricSpace, t_map: SelfMap, s_map: SelfMap
 ) -> str | None:
@@ -73,7 +67,7 @@ def find_clr_base(
     x -> {y : S(y) = T(x)}; dead ends are peeled off until the live set is
     stable.  Returns the lowest surviving label, or None.
     """
-    _check_pair(space, t_map, s_map)
+    require_same_space(space, t_map, s_map)
     n = space.n
     preimages: dict[int, list[int]] = {}
     for y, sy in enumerate(s_map.assignment):
@@ -112,7 +106,7 @@ def run_picard_pair(
     several S-preimages: the default takes the first in label order, or a
     callable receives the candidate tuple and returns one of its members.
     """
-    _check_pair(space, t_map, s_map)
+    require_same_space(space, t_map, s_map)
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     if isinstance(x0, int):
@@ -230,7 +224,7 @@ def diagnose(
     regularity and Cauchy flags account for that continuation.  All numbers
     reported are recomputable from the trace and the space.
     """
-    _check_pair(space, t_map, s_map)
+    require_same_space(space, t_map, s_map)
     if len(trace.points) < 2:
         raise TraceTooShort("diagnostics need a trace of length >= 2")
     at_coincidence = trace.coincidence_index is not None
@@ -329,16 +323,13 @@ def brute_force_points(
     space: FiniteMetricSpace, t_map: SelfMap, s_map: SelfMap | None = None
 ) -> BruteForceSets:
     """Exact fixed and coincidence sets by full scan (the oracle)."""
-    if t_map.space is not space and t_map.space != space:
-        raise SpaceMismatch("map lives on a different space")
+    require_same_space(space, t_map, s_map)
     fixed = tuple(
         space.labels[i] for i, v in enumerate(t_map.assignment) if v == i
     )
     if s_map is None:
         coincidence = fixed
     else:
-        if s_map.space is not space and s_map.space != space:
-            raise SpaceMismatch("map lives on a different space")
         coincidence = tuple(
             space.labels[i]
             for i in range(space.n)

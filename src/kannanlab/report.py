@@ -49,6 +49,51 @@ def _flatten(prefix: str, value, lines: list[str]) -> None:
     lines.append(f"{prefix.rstrip('.')}: {value}")
 
 
+def witness_summary(w, first_terms: int = 0) -> dict | None:
+    """Family and parameters of a sequence witness, pairs recursively.
+
+    ``first_terms`` > 0 adds that many terms of each realized prefix.
+    """
+    if w is None:
+        return None
+    if w.family == "pair":
+        a, b = w.components
+        return {
+            "family": "pair",
+            "a": witness_summary(a, first_terms),
+            "b": witness_summary(b, first_terms),
+        }
+    out = {"family": w.family, **dict(w.params)}
+    if first_terms:
+        out["first_terms"] = list(w.first_terms[:first_terms])
+    return out
+
+
+def condition_summary(report) -> dict:
+    """Outcome, pair counts and first failing pair of a condition sweep."""
+    out = {
+        "holds": report.holds,
+        "pairs_checked": report.pairs_checked,
+        "pairs_skipped": report.pairs_skipped,
+    }
+    if report.witness is not None:
+        w = report.witness
+        out["witness"] = {"pair": [w.x, w.y], "t": w.t, "s": w.s, "value": w.value}
+        if w.required_alpha is not None:
+            out["witness"]["required_alpha"] = w.required_alpha
+    return out
+
+
+def solve_summary(result) -> dict:
+    """Kind, point, iteration count and cycle of a Picard solve."""
+    return {
+        "kind": result.kind.value,
+        "point": result.point,
+        "iterations": result.iterations,
+        "cycle_points": list(result.cycle_points),
+    }
+
+
 def document(command: str, body: dict) -> dict:
     doc = {"format_version": FORMAT_VERSION, "command": command}
     doc.update(body)

@@ -34,6 +34,7 @@ from .metric import (
     build_truncated_harmonic_space,
     constant_map,
     identity_map,
+    space_from_values,
 )
 from .picard import DEFAULT_MAX_ITER
 from .sigma import (
@@ -115,8 +116,6 @@ def parse_scenario_dict(raw: dict) -> ScenarioDoc:
     c = 1.0
     if "sigma" in raw:
         sigma, c = _parse_sigma(raw["sigma"])
-    elif builtin_sigma is not None:
-        c = 1.0
 
     tol = _finite(raw.get("tol", 1e-9), "tol")
     if tol < 0:
@@ -271,16 +270,10 @@ def _parse_finite_space(section: dict) -> FiniteMetricSpace:
     if not isinstance(points, list) or not points:
         raise ValidationError("space.points", "must be a non-empty list of numbers")
     values = [_finite(v, "space.points") for v in points]
-    labels = section.get("labels") or [_number_label(v) for v in values]
-    table = [[abs(a - b) for b in values] for a in values]
     try:
-        return build_finite_space([str(x) for x in labels], table)
+        return space_from_values(values, section.get("labels") or None)
     except ValueError as e:
         raise ValidationError("space.points", str(e)) from None
-
-
-def _number_label(v: float) -> str:
-    return str(int(v)) if float(v).is_integer() else repr(float(v))
 
 
 def _parse_map(space: FiniteMetricSpace, entry, field: str) -> SelfMap:
@@ -291,12 +284,7 @@ def _parse_map(space: FiniteMetricSpace, entry, field: str) -> SelfMap:
             return constant_map(space, entry["constant"])
         except KeyError:
             raise ValidationError(field, f"constant {entry['constant']!r} not in space") from None
-    if isinstance(entry, dict):
-        try:
-            return build_self_map(space, entry)
-        except ValueError as e:
-            raise ValidationError(field, str(e)) from None
-    if isinstance(entry, list):
+    if isinstance(entry, (dict, list)):
         try:
             return build_self_map(space, entry)
         except ValueError as e:

@@ -11,7 +11,9 @@ Falsification searches walk structured sequence families (constants,
 geometric decays, harmonic approaches, linear growth) before random grids.
 Constant-sequence counterexamples are exact because constant sequences
 converge; family-based ones verify positivity over the realized prefix and
-at sparse far-tail indices of the closed form.
+at sparse far-tail indices of the closed form.  Each axiom is one entry of
+``_AXIOMS``, which the search, the witness replay and the classifier all
+read.
 """
 
 from __future__ import annotations
@@ -19,9 +21,10 @@ from __future__ import annotations
 import itertools
 import random
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Iterable, Iterator
+from functools import partial
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 DEFAULT_BUDGET = 10_000
 DEFAULT_PREFIX = 64
@@ -108,10 +111,7 @@ class WitnessSequence:
     components: tuple["WitnessSequence", ...] = ()
 
     def param(self, key: str) -> float:
-        for k, v in self.params:
-            if k == key:
-                return v
-        raise KeyError(key)
+        return dict(self.params)[key]
 
     def term(self, n: int) -> float:
         return _family_term(self.family, dict(self.params), n)
@@ -184,35 +184,15 @@ class ComparisonFn:
     notes: str = ""
 
     def param(self, key: str, default: float | None = None) -> float | None:
-        for k, v in self.params:
-            if k == key:
-                return v
-        return default
+        return dict(self.params).get(key, default)
 
     def handle(self, key: str) -> Callable[[float], float] | None:
-        for k, v in self.handles:
-            if k == key:
-                return v
-        return None
+        return dict(self.handles).get(key)
 
 
 # --------------------------------------------------------------------------
 # Gallery
 # --------------------------------------------------------------------------
-
-GALLERY_NAMES = (
-    "gamma",
-    "beta",
-    "step-g",
-    "step-omega",
-    "chi",
-    "theta-pi",
-    "theta-geraghty",
-    "theta-l",
-    "tau",
-    "psi-phi",
-    "linear",
-)
 
 
 def _half(t: float) -> float:
@@ -231,10 +211,13 @@ def _identity_fn(t: float) -> float:
     return t
 
 
-def _linear_certificates(slope: float) -> tuple[frozenset, Interval]:
+def _make_linear(name: str, slope: float, declared: Interval | None) -> ComparisonFn:
     certs = {AxiomKind.DOLLAR}
+    notes = ""
     if slope < 0.5:
         certs.add(AxiomKind.SIGMA1)
+        ratio = slope / (1.0 - slope)
+        notes = f"positivity along consecutive-sum pairs forces a_n < {ratio:.12g} * a_(n-1)"
     if slope < 1.0:
         certs |= {
             AxiomKind.UPPER_BOUND,
@@ -243,15 +226,6 @@ def _linear_certificates(slope: float) -> tuple[frozenset, Interval]:
             AxiomKind.RHO1,
             AxiomKind.RHO2,
         }
-    return frozenset(certs), Interval(0.0, 1.0 / slope)
-
-
-def _make_linear(name: str, slope: float, declared: Interval | None) -> ComparisonFn:
-    certs, sigma2 = _linear_certificates(slope)
-    notes = ""
-    if slope < 0.5:
-        ratio = slope / (1.0 - slope)
-        notes = f"positivity along consecutive-sum pairs forces a_n < {ratio:.12g} * a_(n-1)"
 
     def evaluate(t: float, s: float, a: float = slope) -> float:
         return a * s - t
@@ -261,16 +235,23 @@ def _make_linear(name: str, slope: float, declared: Interval | None) -> Comparis
         eval=evaluate,
         params=(("slope", slope),),
         declared_c_range=declared,
-        analytic_certificates=certs,
-        sigma2_certificate=sigma2,
+        analytic_certificates=frozenset(certs),
+        sigma2_certificate=Interval(0.0, 1.0 / slope),
         notes=notes,
     )
 
 
-def _require(params: dict, key: str, member: str) -> float:
+def _param(
+    params: dict, member: str, key: str, ok: Callable[[float], bool], requirement: str
+) -> float:
+    """Pop the member's one numeric parameter, reject any other, check its range."""
     if key not in params:
         raise MissingParam(f"{member} requires parameter {key!r}")
-    return float(params.pop(key))
+    value = float(params.pop(key))
+    _reject_extras(member, params)
+    if not ok(value):
+        raise ParamOutOfRange(f"{member} requires {requirement}")
+    return value
 
 
 def gallery(name: str, **params) -> ComparisonFn:
@@ -283,9 +264,7 @@ def gallery(name: str, **params) -> ComparisonFn:
     """
     if name not in GALLERY_NAMES:
         raise UnknownGallery(f"unknown gallery member {name!r}")
-    build = _GALLERY_BUILDERS[name]
-    fn = build(dict(params))
-    return fn
+    return _GALLERY_BUILDERS[name](dict(params))
 
 
 def _build_gamma(params: dict) -> ComparisonFn:
@@ -306,163 +285,105 @@ def _build_gamma(params: dict) -> ComparisonFn:
 
 def _build_beta(params: dict) -> ComparisonFn:
     _reject_extras("beta", params)
-    fn = _make_linear("beta", 0.5, None)
-    return fn
+    return _make_linear("beta", 0.5, None)
+
+
+def _make_step(name: str, params: dict, evaluate: Callable[[float, float], float]) -> ComparisonFn:
+    _reject_extras(name, params)
+    return ComparisonFn(
+        name=name,
+        eval=evaluate,
+        declared_c_range=Interval(1.0, float("inf")),
+        analytic_certificates=frozenset({AxiomKind.SIGMA1}),
+        sigma2_certificate=Interval(1.0, float("inf")),
+        notes="first axiom is vacuous: consecutive-sum pairs always evaluate to -1",
+    )
 
 
 def _build_step_g(params: dict) -> ComparisonFn:
-    _reject_extras("step-g", params)
-
-    def evaluate(t: float, s: float) -> float:
-        return -1.0 if t <= s else 1.0
-
-    return ComparisonFn(
-        name="step-g",
-        eval=evaluate,
-        declared_c_range=Interval(1.0, float("inf")),
-        analytic_certificates=frozenset({AxiomKind.SIGMA1}),
-        sigma2_certificate=Interval(1.0, float("inf")),
-        notes="first axiom is vacuous: consecutive-sum pairs always evaluate to -1",
-    )
+    return _make_step("step-g", params, lambda t, s: -1.0 if t <= s else 1.0)
 
 
 def _build_step_omega(params: dict) -> ComparisonFn:
-    _reject_extras("step-omega", params)
-
-    def evaluate(t: float, s: float) -> float:
-        return -1.0 if t < s else 1.0
-
-    return ComparisonFn(
-        name="step-omega",
-        eval=evaluate,
-        declared_c_range=Interval(1.0, float("inf")),
-        analytic_certificates=frozenset({AxiomKind.SIGMA1}),
-        sigma2_certificate=Interval(1.0, float("inf")),
-        notes="first axiom is vacuous: consecutive-sum pairs always evaluate to -1",
-    )
+    return _make_step("step-omega", params, lambda t, s: -1.0 if t < s else 1.0)
 
 
 def _build_chi(params: dict) -> ComparisonFn:
-    alpha = _require(params, "alpha", "chi")
-    _reject_extras("chi", params)
-    if not 0.0 < alpha < 0.5:
-        raise ParamOutOfRange("chi requires 0 < alpha < 1/2")
-    fn = _make_linear("chi", alpha, Interval(0.0, 2.0))
-    return ComparisonFn(
-        name="chi",
-        eval=fn.eval,
-        params=(("alpha", alpha),),
-        declared_c_range=fn.declared_c_range,
-        analytic_certificates=fn.analytic_certificates,
-        sigma2_certificate=fn.sigma2_certificate,
-        notes=fn.notes,
-    )
+    alpha = _param(params, "chi", "alpha", lambda a: 0.0 < a < 0.5, "0 < alpha < 1/2")
+    return replace(_make_linear("chi", alpha, Interval(0.0, 2.0)), params=(("alpha", alpha),))
 
 
 def _build_linear(params: dict) -> ComparisonFn:
-    slope = _require(params, "slope", "linear")
-    _reject_extras("linear", params)
-    if not slope > 0.0:
-        raise ParamOutOfRange("linear requires slope > 0")
+    slope = _param(params, "linear", "slope", lambda s: s > 0.0, "slope > 0")
     declared = Interval(0.0, 2.0) if slope < 0.5 else None
     return _make_linear("linear", slope, declared)
 
 
 def _build_tau(params: dict) -> ComparisonFn:
     _reject_extras("tau", params)
-    fn = _make_linear("tau", 2.0 / 3.0, None)
     # Membership fails on the first axiom, but the limit-ratio axiom holds
     # up to c = 3/2 in closed form.
+    return replace(_make_linear("tau", 2.0 / 3.0, None), sigma2_certificate=Interval(0.0, 1.5))
+
+
+def _make_theta(
+    name: str,
+    params: dict,
+    key: str,
+    handle,
+    shape: Callable[..., Callable[[float, float], float]],
+    default: tuple[Callable[[float], float], AxiomKind] | None = None,
+    closed: bool = False,
+    notes: str = "",
+) -> ComparisonFn:
+    """A theta variant whose eval is ``shape(alpha, handle)``.
+
+    ``default`` is the handle used, with the axiom it certifies, when the
+    caller passes none; ``closed`` admits alpha = 1/2.
+    """
+    in_range = (lambda a: 0.0 < a <= 0.5) if closed else (lambda a: 0.0 < a < 0.5)
+    alpha = _param(params, name, "alpha", in_range, f"0 < alpha {'<=' if closed else '<'} 1/2")
+    certs = {AxiomKind.SIGMA1, AxiomKind.DOLLAR}
+    if handle is None and default is not None:
+        handle, certified = default
+        certs.add(certified)
+    if not callable(handle):
+        raise ParamOutOfRange(f"{key}_fn must be callable")
     return ComparisonFn(
-        name="tau",
-        eval=fn.eval,
-        params=fn.params,
-        declared_c_range=None,
-        analytic_certificates=fn.analytic_certificates,
-        sigma2_certificate=Interval(0.0, 1.5),
+        name=name,
+        eval=shape(alpha, handle),
+        params=(("alpha", alpha),),
+        declared_c_range=Interval(1.0, 2.0, lo_open=False, hi_open=False),
+        analytic_certificates=frozenset(certs),
+        sigma2_certificate=Interval(0.0, 1.0 / alpha, hi_open=not closed),
+        handles=((key, handle),),
+        notes=notes,
     )
 
 
 def _build_theta_pi(params: dict) -> ComparisonFn:
-    alpha = _require(params, "alpha", "theta-pi")
     pi_fn = params.pop("pi_fn", _half)
-    _reject_extras("theta-pi", params)
-    if not 0.0 < alpha < 0.5:
-        raise ParamOutOfRange("theta-pi requires 0 < alpha < 1/2")
-    if not callable(pi_fn):
-        raise ParamOutOfRange("pi_fn must be callable")
-
-    def evaluate(t: float, s: float) -> float:
-        return alpha * pi_fn(s) - t
-
-    return ComparisonFn(
-        name="theta-pi",
-        eval=evaluate,
-        params=(("alpha", alpha),),
-        declared_c_range=Interval(1.0, 2.0, lo_open=False, hi_open=False),
-        analytic_certificates=frozenset({AxiomKind.SIGMA1, AxiomKind.DOLLAR}),
-        sigma2_certificate=Interval(0.0, 1.0 / alpha),
-        handles=(("pi", pi_fn),),
+    return _make_theta(
+        "theta-pi", params, "pi", pi_fn, lambda a, pi: lambda t, s: a * pi(s) - t,
         notes="handle contract: pi(t) <= t on [0, inf)",
     )
 
 
 def _build_theta_geraghty(params: dict) -> ComparisonFn:
-    alpha = _require(params, "alpha", "theta-geraghty")
     g_fn = params.pop("g_fn", None)
-    _reject_extras("theta-geraghty", params)
-    if not 0.0 < alpha <= 0.5:
-        raise ParamOutOfRange("theta-geraghty requires 0 < alpha <= 1/2")
-    default = g_fn is None
-    if default:
-        g_fn = _reciprocal_decay
-    if not callable(g_fn):
-        raise ParamOutOfRange("g_fn must be callable")
-
-    def evaluate(t: float, s: float) -> float:
-        return alpha * g_fn(s) * s - t
-
-    certs = {AxiomKind.SIGMA1, AxiomKind.DOLLAR}
-    if default:
-        certs.add(AxiomKind.GERAGHTY)
-    return ComparisonFn(
-        name="theta-geraghty",
-        eval=evaluate,
-        params=(("alpha", alpha),),
-        declared_c_range=Interval(1.0, 2.0, lo_open=False, hi_open=False),
-        analytic_certificates=frozenset(certs),
-        sigma2_certificate=Interval(0.0, 1.0 / alpha, hi_open=False),
-        handles=(("g", g_fn),),
+    return _make_theta(
+        "theta-geraghty", params, "g", g_fn, lambda a, g: lambda t, s: a * g(s) * s - t,
+        default=(_reciprocal_decay, AxiomKind.GERAGHTY),
+        closed=True,
         notes="handle contract: g maps [0, inf) into [0, 1)",
     )
 
 
 def _build_theta_l(params: dict) -> ComparisonFn:
-    alpha = _require(params, "alpha", "theta-l")
     l_fn = params.pop("l_fn", None)
-    _reject_extras("theta-l", params)
-    if not 0.0 < alpha < 0.5:
-        raise ParamOutOfRange("theta-l requires 0 < alpha < 1/2")
-    default = l_fn is None
-    if default:
-        l_fn = _half_on_positive
-    if not callable(l_fn):
-        raise ParamOutOfRange("l_fn must be callable")
-
-    def evaluate(t: float, s: float) -> float:
-        return alpha * l_fn(s) - t
-
-    certs = {AxiomKind.SIGMA1, AxiomKind.DOLLAR}
-    if default:
-        certs.add(AxiomKind.L_FUNCTION)
-    return ComparisonFn(
-        name="theta-l",
-        eval=evaluate,
-        params=(("alpha", alpha),),
-        declared_c_range=Interval(1.0, 2.0, lo_open=False, hi_open=False),
-        analytic_certificates=frozenset(certs),
-        sigma2_certificate=Interval(0.0, 1.0 / alpha),
-        handles=(("l", l_fn),),
+    return _make_theta(
+        "theta-l", params, "l", l_fn, lambda a, l: lambda t, s: a * l(s) - t,
+        default=(_half_on_positive, AxiomKind.L_FUNCTION),
     )
 
 
@@ -505,33 +426,338 @@ _GALLERY_BUILDERS = {
     "psi-phi": _build_psi_phi,
     "linear": _build_linear,
 }
+GALLERY_NAMES = tuple(_GALLERY_BUILDERS)
 
 
 # --------------------------------------------------------------------------
-# Axiom checking
+# Axiom definitions
 # --------------------------------------------------------------------------
+
+
+class _Exhausted(Exception):
+    """The evaluation budget ran out before the probe schedule did."""
 
 
 class _Budget:
     __slots__ = ("limit", "used")
 
-    def __init__(self, limit: int):
+    def __init__(self, limit: float):
         self.limit = limit
         self.used = 0
 
-    def spend(self, k: int = 1) -> bool:
-        self.used += k
-        return self.used <= self.limit
-
-    @property
-    def exhausted(self) -> bool:
-        return self.used > self.limit
+    def spend(self) -> None:
+        self.used += 1
+        if self.used > self.limit:
+            raise _Exhausted
 
 
-def _positive_scan(rng: random.Random, extra: int = 200) -> Iterator[float]:
+class _Pairing(NamedTuple):
+    """Witness terms to eval's (t, s): ``at`` reads term functions at an index
+    n >= ``start``; ``at_constant`` takes the values of constant sequences,
+    or is None when those values already are (t, s)."""
+
+    start: int
+    at: Callable[..., tuple[float, float]]
+    at_constant: Callable[..., tuple[float, float]] | None
+
+
+_POINTWISE = _Pairing(1, lambda a, b, n: (a(n), b(n)), None)
+_CONSECUTIVE_SUM = _Pairing(2, lambda a, b, n: (a(n), a(n - 1) + a(n)), lambda a: (a, a + a))
+_CONSECUTIVE = _Pairing(1, lambda a, b, n: (a(n + 1), a(n)), lambda a: (a, a))
+
+
+class _Axiom(NamedTuple):
+    """An axiom on eval along witness sequences, with its probe schedule.
+
+    ``schedule`` lists ``(candidates, detail, exact)`` phases in order.
+    ``candidates(c, rng)`` yields, per candidate witness, the values of its
+    components when ``exact`` (constant sequences) and ``(family, params)``
+    per component otherwise.  ``detail`` is formatted with the component
+    limits ``a`` and ``b`` and, when exact, the probed ``t``, ``s``,
+    ``value`` = eval(t, s), quantity ``q`` and ``gap`` = s - t.
+
+    With ``threshold`` None a witness violates the axiom when t, s and
+    eval(t, s) stay positive at every probed index; otherwise when the
+    limsup of ``quantity(t, s, eval(t, s))`` (eval itself when None) reaches
+    the threshold: exactly for constant sequences, by a tail estimate above
+    ``threshold + 1e-9`` for families.  Families are probed at the first
+    ``prefix_len`` indices and at the far ``tail``.  ``claim(a, b, c)`` is
+    the limit statement that makes a violating witness a counterexample.
+    """
+
+    pairing: _Pairing
+    claim: Callable[[WitnessSequence, WitnessSequence, float], bool]
+    schedule: tuple[tuple[Callable, str, bool], ...]
+    tail: tuple[int, ...] = ()
+    threshold: float | None = None
+    quantity: Callable[[float, float, float], float] | None = None
+
+    def search(self, fn, c, rng, prefix_len, b):
+        for candidates, detail, exact in self.schedule:
+            hit = self.violation(fn.eval, candidates(c, rng), exact, prefix_len, b)
+            if hit is not None:
+                cand, fields = hit
+                if exact:
+                    parts = [make_witness("constant", value=v) for v in cand]
+                else:
+                    parts = [make_witness(family, **params) for family, params in cand]
+                witness = make_pair_witness(*parts) if len(parts) == 2 else parts[0]
+                return witness, detail.format(a=parts[0].limit(), b=parts[-1].limit(), **fields)
+        return None, _NOT_FOUND
+
+    def replay(self, fn, witness, c):
+        parts = witness.components or (witness,)
+        if len(parts) != (2 if self.pairing is _POINTWISE else 1):
+            return False
+        exact = all(w.family == "constant" for w in parts)
+        if exact:
+            cand = tuple(w.param("value") for w in parts)
+        else:
+            cand = tuple((w.family, dict(w.params)) for w in parts)
+        hit = self.violation(fn.eval, (cand,), exact, DEFAULT_PREFIX, _Budget(float("inf")))
+        return hit is not None and self.claim(parts[0], parts[-1], c)
+
+    def violation(self, ev, candidates, exact, prefix_len, b):
+        """The first candidate violating the axiom, with its detail fields.
+
+        Each evaluation spends one unit of ``b`` first; overspending raises
+        :class:`_Exhausted`.
+        """
+        quantity, threshold = self.quantity, self.threshold
+        used, limit = b.used, b.limit
+        try:
+            if exact:
+                at = self.pairing.at_constant
+                for cand in candidates:
+                    used += 1
+                    if used > limit:
+                        raise _Exhausted
+                    t, s = cand if at is None else at(*cand)
+                    value = ev(t, s)
+                    q = value if quantity is None else quantity(t, s, value)
+                    if (t > 0 and s > 0 and q > 0.0) if threshold is None else q >= threshold:
+                        return cand, {"t": t, "s": s, "value": value, "q": q, "gap": s - t}
+                return None
+            at, start = self.pairing.at, self.pairing.start
+            for cand in candidates:
+                terms = [partial(_family_term, family, params) for family, params in cand]
+                qs = []
+                for n in itertools.chain(range(start, start + prefix_len), self.tail):
+                    used += 1
+                    if used > limit:
+                        raise _Exhausted
+                    t, s = at(terms[0], terms[-1], n)
+                    if threshold is None:
+                        if t <= 0 or s <= 0 or not ev(t, s) > 0.0:
+                            break
+                    else:
+                        value = ev(t, s)
+                        qs.append(value if quantity is None else quantity(t, s, value))
+                else:
+                    # The limsup estimate is the largest value of the last quarter.
+                    if threshold is None or max(qs[-max(1, len(qs) // 4):]) > threshold + 1e-9:
+                        return cand, {}
+            return None
+        finally:
+            b.used = used
+
+
+class _HandleAxiom(NamedTuple):
+    """An axiom on the unary handle ``name`` of a gallery member.
+
+    ``probes(rng)`` lists ``(family, x)`` witnesses in order: a constant
+    sequence of value x, or linear growth of scale x.  ``violation(h,
+    family, x, budget)`` says how that witness breaks the axiom, or is None.
+    """
+
+    name: str
+    violation: Callable[..., str | None]
+    probes: Callable[[random.Random], Iterable[tuple[str, float]]]
+
+    def search(self, fn, c, rng, prefix_len, b):
+        h = fn.handle(self.name)
+        if h is None:
+            return None, "no unary handle to check"
+        for family, x in self.probes(rng):
+            detail = self.violation(h, family, x, b)
+            if detail is not None:
+                return make_witness(family, **{_PARAM[family]: x}), detail
+        return None, _NOT_FOUND
+
+    def replay(self, fn, witness, c):
+        h = fn.handle(self.name)
+        if h is None or witness.family not in ("constant", "linear"):
+            return False
+        x = witness.param(_PARAM[witness.family])
+        return self.violation(h, witness.family, x, _Budget(float("inf"))) is not None
+
+
+_NOT_FOUND = "no counterexample found within budget"
+
+
+def _geraghty_violation(g, family: str, x: float, b: _Budget) -> str | None:
+    # g maps [0, inf) into [0, 1), and values approaching 1 far from the
+    # origin contradict the decay demand.
+    if family == "constant":
+        b.spend()
+        v = g(x)
+        return f"g({x:g}) = {v:g} outside [0, 1)" if v < 0.0 or v >= 1.0 else None
+    probes = []
+    for k in range(1, 7):
+        b.spend()
+        probes.append(g(x * 10.0**k))
+    return "g tends to 1 along a divergent sequence" if min(probes[-2:]) >= 1.0 - 1e-9 else None
+
+
+def _l_function_violation(l, family: str, x: float, b: _Budget) -> str | None:
+    # l(0) = 0 and 0 < l(x) <= x for x > 0: no window [x, x + delta] can
+    # stay below x when the left endpoint already exceeds it.
+    b.spend()
+    v = l(x)
+    if x == 0.0:
+        return f"l(0) = {v:g} != 0" if abs(v) > 1e-12 else None
+    if v <= 0.0:
+        return f"l({x:g}) = {v:g} not strictly positive"
+    return f"l({x:g}) = {v:g} > {x:g}" if v > x + 1e-12 else None
+
+
+_PARAM = {"constant": "value", "harmonic": "limit", "harmonic-below": "limit", "linear": "scale"}
+
+
+def _seq(family: str, x: float) -> tuple[str, dict[str, float]]:
+    return family, {_PARAM[family]: x}
+
+
+def _scan(rng: random.Random) -> Iterator[float]:
     yield from CANONICAL_POSITIVE
-    for _ in range(extra):
+    for _ in range(200):
         yield rng.uniform(1e-6, 10.0)
+
+
+def _singles(c: float, rng: random.Random) -> Iterator[tuple[float]]:
+    return ((x,) for x in _scan(rng))
+
+
+def _grid(c: float, rng: random.Random) -> Iterator[tuple[float, float]]:
+    return itertools.product(CANONICAL_POSITIVE, CANONICAL_POSITIVE)
+
+
+def _draws(c: float, rng: random.Random) -> Iterator[tuple[float, float]]:
+    while True:
+        yield rng.uniform(1e-6, 10.0), rng.uniform(1e-6, 10.0)
+
+
+def _each(family: str) -> Callable:
+    return lambda c, rng: ((_seq(family, x),) for x in CANONICAL_POSITIVE)
+
+
+def _geometric_partners(firsts: list[tuple], ratios: tuple[float, ...]) -> Callable:
+    """Each first family against every geometric sequence of the given ratios."""
+    return lambda c, rng: (
+        (a, ("geometric", {"start": start, "ratio": ratio}))
+        for a in firsts
+        for start in GEOMETRIC_STARTS
+        for ratio in ratios
+    )
+
+
+def _combos(*families: tuple[str, str], scaled: bool = False) -> Callable:
+    """Each pair of families at every canonical level x, the second at c * x if scaled."""
+    return lambda c, rng: (
+        (_seq(fa, x), _seq(fb, c * x if scaled else x))
+        for x in CANONICAL_POSITIVE
+        for fa, fb in families
+    )
+
+
+# Limit claims: what makes a witness (a, b) that violates an axiom a counterexample.
+
+
+def _same_limit(a: WitnessSequence, b: WitnessSequence, c: float = 1.0) -> bool:
+    return a.limit() > 0.0 and abs(b.limit() - c * a.limit()) <= 1e-9
+
+
+def _prefix(w: WitnessSequence) -> list[float]:
+    return [w.term(n) for n in range(1, WITNESS_TERMS + 1)]
+
+
+def _same_limit_from_above(a: WitnessSequence, b: WitnessSequence, c: float) -> bool:
+    return _same_limit(a, b) and all(x > a.limit() for x in _prefix(a))
+
+
+def _bounded_and_non_increasing(a: WitnessSequence, b: WitnessSequence, c: float) -> bool:
+    return a.limit() < float("inf") and all(x >= y for x, y in itertools.pairwise(_prefix(b)))
+
+
+# Family names and canonical levels, abbreviated for the table.
+_CP = CANONICAL_POSITIVE
+_H, _HB, _K, _LIN = "harmonic", "harmonic-below", "constant", "linear"
+_AXIOMS = {
+    # Positivity along (a_n, a_(n-1) + a_n) forces a_n -> 0.
+    AxiomKind.SIGMA1: _Axiom(_CONSECUTIVE_SUM, lambda a, b, c: a.limit() != 0.0, (
+        (_singles, "constant sequence a_n = {a:g} stays positive under the pairing", True),
+        (_each(_H), "harmonic family converges to {a:g}, not 0", False),
+        (_each(_LIN), "linearly growing family diverges", False),
+    ), TAIL_PROBES),
+    # Positivity along a_n -> L > 0, b_n -> c * L is impossible.
+    AxiomKind.SIGMA2: _Axiom(_POINTWISE, _same_limit, (
+        (lambda c, rng: ((x, c * x) for x in _scan(rng)),
+         "constant pair a_n = {a:g}, b_n = {b:g} with L = {a:g} > 0", True),
+        (_combos((_HB, _K), (_H, _K), (_K, _H), (_K, _HB), scaled=True),
+         "paired family with a_n -> {a:g} > 0, b_n -> {b:g}", False),
+    ), TAIL_PROBES),
+    # Positivity with b_n -> 0 forces a_n -> 0.
+    AxiomKind.DOLLAR: _Axiom(_POINTWISE, lambda a, b, c: b.limit() == 0.0 and a.limit() != 0.0, (
+        (_geometric_partners([_seq(_K, x) for x in _CP] + [_seq(_H, x) for x in _CP[:6]],
+                             GEOMETRIC_RATIOS),
+         "b_n -> 0 geometrically while a_n -> {a:g} > 0", False),
+    ), GEOMETRIC_TAIL_PROBES),
+    # eval(t, s) < s - t for all t, s > 0: any violating pair is a counterexample.
+    # For floats, value - (s - t) >= 0 holds exactly when value >= s - t.
+    AxiomKind.UPPER_BOUND: _Axiom(_POINTWISE, lambda a, b, c: True, (
+        (_grid, "eval({t:g}, {s:g}) = {value:g} >= s - t = {gap:g}", True),
+        (_draws, "eval({t:g}, {s:g}) >= s - t", True),
+    ), threshold=0.0, quantity=lambda t, s, value: value - (s - t)),
+    # limsup eval(t_n, s_n) < 0 when t_n and s_n share a positive limit.
+    AxiomKind.ZETA3: _Axiom(_POINTWISE, lambda a, b, c: _same_limit(a, b), (
+        (lambda c, rng: ((x, x) for x in _scan(rng)),
+         "constant pair at {a:g} gives limsup {q:g} >= 0", True),
+        (_combos((_H, _HB), (_HB, _H), (_H, _H)),
+         "equal-limit family at {a:g} has tail estimate > 0", False),
+    ), threshold=0.0),
+    # limsup (t_n + eval(t_n, s_n)) / s_n < 1 for bounded t_n, non-increasing s_n.
+    AxiomKind.ETA2: _Axiom(_POINTWISE, _bounded_and_non_increasing, (
+        (_grid, "constant pair ({t:g}, {s:g}) gives ratio {q:g} >= 1", True),
+        (_geometric_partners([_seq(_K, x) for x in _CP[:6]], (0.9,)),
+         "ratio tail estimate exceeds 1", False),
+    ), threshold=1.0, quantity=lambda t, s, value: (t + value) / s),
+    # Positivity along (a_(n+1), a_n) forces a_n -> 0.
+    AxiomKind.RHO1: _Axiom(_CONSECUTIVE, lambda a, b, c: a.limit() != 0.0, (
+        (_singles, "constant sequence at {a:g} stays positive under consecutive pairing", True),
+        (_each(_LIN), "linearly growing sequence keeps consecutive pairing positive", False),
+        (_each(_H), "harmonic family converges to {a:g}, not 0", False),
+    ), TAIL_PROBES),
+    # Positivity is impossible when both sequences tend to L > 0 with a_n > L.
+    AxiomKind.RHO2: _Axiom(_POINTWISE, _same_limit_from_above, (
+        (_combos((_H, _K), (_H, _H), (_H, _HB)),
+         "both sequences converge to {a:g} > 0 with a_n above the limit", False),
+    ), TAIL_PROBES),
+    AxiomKind.GERAGHTY: _HandleAxiom(
+        "g",
+        _geraghty_violation,
+        lambda rng: [(_K, x) for x in (0.0,) + _CP] + [(_LIN, 1.0), (_LIN, 10.0)],
+    ),
+    AxiomKind.L_FUNCTION: _HandleAxiom(
+        "l",
+        _l_function_violation,
+        lambda rng: ((_K, x) for x in itertools.chain((0.0,), _scan(rng))),
+    ),
+}
+
+
+# --------------------------------------------------------------------------
+# Axiom checking and witness replay
+# --------------------------------------------------------------------------
 
 
 def check_axiom(
@@ -549,9 +775,7 @@ def check_axiom(
     vacuously true under the adopted reading (the paired limits cannot then
     be ordered unless both are zero).
     """
-    rng = random.Random(seed)
-    b = _Budget(budget)
-
+    certified = None
     if kind is AxiomKind.SIGMA2:
         if not c > 0:
             raise ValueError("c must be > 0")
@@ -561,445 +785,21 @@ def check_axiom(
                 SubUnitCWarning,
                 stacklevel=2,
             )
-            return AxiomVerdict(
-                kind,
-                Outcome.CERTIFIED_HOLDS,
-                detail="vacuously true for c < 1: no positive limit satisfies c*L >= L",
-            )
-        if fn.sigma2_certificate is not None and fn.sigma2_certificate.contains(c):
-            return AxiomVerdict(
-                kind,
-                Outcome.CERTIFIED_HOLDS,
-                detail=f"certified for c in {fn.sigma2_certificate.describe()}",
-            )
-        return _search_sigma2(fn, c, b, rng, prefix_len)
+            certified = "vacuously true for c < 1: no positive limit satisfies c*L >= L"
+        elif fn.sigma2_certificate is not None and fn.sigma2_certificate.contains(c):
+            certified = f"certified for c in {fn.sigma2_certificate.describe()}"
+    elif kind in fn.analytic_certificates:
+        certified = fn.notes
+    if certified is not None:
+        return AxiomVerdict(kind, Outcome.CERTIFIED_HOLDS, detail=certified)
 
-    if kind in fn.analytic_certificates:
-        return AxiomVerdict(kind, Outcome.CERTIFIED_HOLDS, detail=fn.notes)
-
-    if kind is AxiomKind.SIGMA1:
-        return _search_sigma1(fn, b, rng, prefix_len)
-    if kind is AxiomKind.DOLLAR:
-        return _search_dollar(fn, b, rng, prefix_len)
-    if kind is AxiomKind.UPPER_BOUND:
-        return _search_upper_bound(fn, b, rng)
-    if kind is AxiomKind.ZETA3:
-        return _search_zeta3(fn, b, rng, prefix_len)
-    if kind is AxiomKind.ETA2:
-        return _search_eta2(fn, b, rng, prefix_len)
-    if kind is AxiomKind.RHO1:
-        return _search_rho1(fn, b, rng, prefix_len)
-    if kind is AxiomKind.RHO2:
-        return _search_rho2(fn, b, rng, prefix_len)
-    if kind is AxiomKind.GERAGHTY:
-        return _check_geraghty(fn, b, rng)
-    if kind is AxiomKind.L_FUNCTION:
-        return _check_l_function(fn, b, rng)
-    raise ValueError(f"unhandled axiom kind {kind}")
-
-
-def _undetermined(kind: AxiomKind, b: _Budget, note: str = "") -> AxiomVerdict:
-    detail = note or "no counterexample found within budget"
-    return AxiomVerdict(kind, Outcome.UNDETERMINED, budget_used=b.used, detail=detail)
-
-
-def _prefix_all_positive(
-    fn: ComparisonFn,
-    pair_at: Callable[[int], tuple[float, float]],
-    b: _Budget,
-    prefix_len: int,
-    start: int = 1,
-    tail: tuple[int, ...] = TAIL_PROBES,
-) -> bool:
-    """Positivity of eval over a prefix plus sparse far-tail indices."""
-    for n in itertools.chain(range(start, start + prefix_len), tail):
-        if not b.spend():
-            return False
-        t, s = pair_at(n)
-        if t <= 0 or s <= 0:
-            return False
-        if not fn.eval(t, s) > 0.0:
-            return False
-    return True
-
-
-def _search_sigma1(fn, b, rng, prefix_len) -> AxiomVerdict:
-    # Constant sequences decide exactly: positivity at (a, 2a) with a > 0.
-    for a in _positive_scan(rng):
-        if not b.spend():
-            return _undetermined(AxiomKind.SIGMA1, b)
-        if fn.eval(a, 2.0 * a) > 0.0:
-            w = make_witness("constant", value=a)
-            return AxiomVerdict(
-                AxiomKind.SIGMA1,
-                Outcome.FALSIFIED,
-                witness=w,
-                budget_used=b.used,
-                detail=f"constant sequence a_n = {a:g} stays positive under the pairing",
-            )
-    for limit in CANONICAL_POSITIVE:
-        w = make_witness("harmonic", limit=limit)
-        if _prefix_all_positive(
-            fn, lambda n: (w.term(n), w.term(n - 1) + w.term(n)), b, prefix_len, start=2
-        ):
-            return AxiomVerdict(
-                AxiomKind.SIGMA1,
-                Outcome.FALSIFIED,
-                witness=w,
-                budget_used=b.used,
-                detail=f"harmonic family converges to {limit:g}, not 0",
-            )
-        if b.exhausted:
-            return _undetermined(AxiomKind.SIGMA1, b)
-    for scale in CANONICAL_POSITIVE:
-        w = make_witness("linear", scale=scale)
-        if _prefix_all_positive(
-            fn, lambda n: (w.term(n), w.term(n - 1) + w.term(n)), b, prefix_len, start=2
-        ):
-            return AxiomVerdict(
-                AxiomKind.SIGMA1,
-                Outcome.FALSIFIED,
-                witness=w,
-                budget_used=b.used,
-                detail="linearly growing family diverges",
-            )
-        if b.exhausted:
-            return _undetermined(AxiomKind.SIGMA1, b)
-    return _undetermined(AxiomKind.SIGMA1, b)
-
-
-def _sigma2_pair_families(limit: float, c: float) -> Iterable[WitnessSequence]:
-    a_const = make_witness("constant", value=limit)
-    b_const = make_witness("constant", value=c * limit)
-    yield make_pair_witness(make_witness("harmonic-below", limit=limit), b_const)
-    yield make_pair_witness(make_witness("harmonic", limit=limit), b_const)
-    yield make_pair_witness(a_const, make_witness("harmonic", limit=c * limit))
-    yield make_pair_witness(a_const, make_witness("harmonic-below", limit=c * limit))
-
-
-def _search_sigma2(fn, c, b, rng, prefix_len) -> AxiomVerdict:
-    for level in _positive_scan(rng):
-        if not b.spend():
-            return _undetermined(AxiomKind.SIGMA2, b)
-        if fn.eval(level, c * level) > 0.0:
-            w = make_pair_witness(
-                make_witness("constant", value=level),
-                make_witness("constant", value=c * level),
-            )
-            return AxiomVerdict(
-                AxiomKind.SIGMA2,
-                Outcome.FALSIFIED,
-                witness=w,
-                budget_used=b.used,
-                detail=f"constant pair a_n = {level:g}, b_n = {c * level:g} with L = {level:g} > 0",
-            )
-    for level in CANONICAL_POSITIVE:
-        for pair in _sigma2_pair_families(level, c):
-            wa, wb = pair.components
-            if _prefix_all_positive(
-                fn, lambda n: (wa.term(n), wb.term(n)), b, prefix_len
-            ):
-                return AxiomVerdict(
-                    AxiomKind.SIGMA2,
-                    Outcome.FALSIFIED,
-                    witness=pair,
-                    budget_used=b.used,
-                    detail=f"paired family with a_n -> {level:g} > 0, b_n -> {c * level:g}",
-                )
-            if b.exhausted:
-                return _undetermined(AxiomKind.SIGMA2, b)
-    return _undetermined(AxiomKind.SIGMA2, b)
-
-
-def _search_dollar(fn, b, rng, prefix_len) -> AxiomVerdict:
-    a_families = [make_witness("constant", value=a) for a in CANONICAL_POSITIVE]
-    a_families += [make_witness("harmonic", limit=a) for a in CANONICAL_POSITIVE[:6]]
-    for wa in a_families:
-        for start in GEOMETRIC_STARTS:
-            for ratio in GEOMETRIC_RATIOS:
-                wb = make_witness("geometric", start=start, ratio=ratio)
-                if _prefix_all_positive(
-                    fn,
-                    lambda n: (wa.term(n), wb.term(n)),
-                    b,
-                    prefix_len,
-                    tail=GEOMETRIC_TAIL_PROBES,
-                ):
-                    pair = make_pair_witness(wa, wb)
-                    return AxiomVerdict(
-                        AxiomKind.DOLLAR,
-                        Outcome.FALSIFIED,
-                        witness=pair,
-                        budget_used=b.used,
-                        detail=f"b_n -> 0 geometrically while a_n -> {wa.limit():g} > 0",
-                    )
-                if b.exhausted:
-                    return _undetermined(AxiomKind.DOLLAR, b)
-    return _undetermined(AxiomKind.DOLLAR, b)
-
-
-def _search_upper_bound(fn, b, rng) -> AxiomVerdict:
-    for t in CANONICAL_POSITIVE:
-        for s in CANONICAL_POSITIVE:
-            if not b.spend():
-                return _undetermined(AxiomKind.UPPER_BOUND, b)
-            value = fn.eval(t, s)
-            if value >= s - t:
-                w = make_pair_witness(
-                    make_witness("constant", value=t), make_witness("constant", value=s)
-                )
-                return AxiomVerdict(
-                    AxiomKind.UPPER_BOUND,
-                    Outcome.FALSIFIED,
-                    witness=w,
-                    budget_used=b.used,
-                    detail=f"eval({t:g}, {s:g}) = {value:g} >= s - t = {s - t:g}",
-                )
-    while not b.exhausted:
-        t, s = rng.uniform(1e-6, 10.0), rng.uniform(1e-6, 10.0)
-        if not b.spend():
-            break
-        if fn.eval(t, s) >= s - t:
-            w = make_pair_witness(
-                make_witness("constant", value=t), make_witness("constant", value=s)
-            )
-            return AxiomVerdict(
-                AxiomKind.UPPER_BOUND,
-                Outcome.FALSIFIED,
-                witness=w,
-                budget_used=b.used,
-                detail=f"eval({t:g}, {s:g}) >= s - t",
-            )
-    return _undetermined(AxiomKind.UPPER_BOUND, b)
-
-
-def _estimate_limsup(values: list[float]) -> float:
-    quarter = max(1, len(values) // 4)
-    return max(values[-quarter:])
-
-
-def _search_zeta3(fn, b, rng, prefix_len) -> AxiomVerdict:
-    # Constant equal pairs decide exactly: limsup equals the single value.
-    for a in _positive_scan(rng):
-        if not b.spend():
-            return _undetermined(AxiomKind.ZETA3, b)
-        value = fn.eval(a, a)
-        if value >= 0.0:
-            w = make_pair_witness(
-                make_witness("constant", value=a), make_witness("constant", value=a)
-            )
-            return AxiomVerdict(
-                AxiomKind.ZETA3,
-                Outcome.FALSIFIED,
-                witness=w,
-                budget_used=b.used,
-                detail=f"constant pair at {a:g} gives limsup {value:g} >= 0",
-            )
-    for level in CANONICAL_POSITIVE:
-        combos = (
-            ("harmonic", "harmonic-below"),
-            ("harmonic-below", "harmonic"),
-            ("harmonic", "harmonic"),
-        )
-        for fam_t, fam_s in combos:
-            wt = make_witness(fam_t, limit=level)
-            ws = make_witness(fam_s, limit=level)
-            values = []
-            for n in range(1, prefix_len + 1):
-                if not b.spend():
-                    return _undetermined(AxiomKind.ZETA3, b)
-                values.append(fn.eval(wt.term(n), ws.term(n)))
-            if _estimate_limsup(values) > 1e-9:
-                return AxiomVerdict(
-                    AxiomKind.ZETA3,
-                    Outcome.FALSIFIED,
-                    witness=make_pair_witness(wt, ws),
-                    budget_used=b.used,
-                    detail=f"equal-limit family at {level:g} has tail estimate > 0",
-                )
-    return _undetermined(AxiomKind.ZETA3, b)
-
-
-def _search_eta2(fn, b, rng, prefix_len) -> AxiomVerdict:
-    # Constant pairs are bounded and non-increasing, so they decide exactly.
-    for t in CANONICAL_POSITIVE:
-        for s in CANONICAL_POSITIVE:
-            if not b.spend():
-                return _undetermined(AxiomKind.ETA2, b)
-            ratio = (t + fn.eval(t, s)) / s
-            if ratio >= 1.0:
-                w = make_pair_witness(
-                    make_witness("constant", value=t), make_witness("constant", value=s)
-                )
-                return AxiomVerdict(
-                    AxiomKind.ETA2,
-                    Outcome.FALSIFIED,
-                    witness=w,
-                    budget_used=b.used,
-                    detail=f"constant pair ({t:g}, {s:g}) gives ratio {ratio:g} >= 1",
-                )
-    for t_level in CANONICAL_POSITIVE[:6]:
-        for start in GEOMETRIC_STARTS:
-            wt = make_witness("constant", value=t_level)
-            ws = make_witness("geometric", start=start, ratio=0.9)
-            ratios = []
-            for n in range(1, prefix_len + 1):
-                if not b.spend():
-                    return _undetermined(AxiomKind.ETA2, b)
-                t, s = wt.term(n), ws.term(n)
-                ratios.append((t + fn.eval(t, s)) / s)
-            if _estimate_limsup(ratios) > 1.0 + 1e-9:
-                return AxiomVerdict(
-                    AxiomKind.ETA2,
-                    Outcome.FALSIFIED,
-                    witness=make_pair_witness(wt, ws),
-                    budget_used=b.used,
-                    detail="ratio tail estimate exceeds 1",
-                )
-    return _undetermined(AxiomKind.ETA2, b)
-
-
-def _search_rho1(fn, b, rng, prefix_len) -> AxiomVerdict:
-    for a in _positive_scan(rng):
-        if not b.spend():
-            return _undetermined(AxiomKind.RHO1, b)
-        if fn.eval(a, a) > 0.0:
-            w = make_witness("constant", value=a)
-            return AxiomVerdict(
-                AxiomKind.RHO1,
-                Outcome.FALSIFIED,
-                witness=w,
-                budget_used=b.used,
-                detail=f"constant sequence at {a:g} stays positive under consecutive pairing",
-            )
-    for scale in CANONICAL_POSITIVE:
-        w = make_witness("linear", scale=scale)
-        if _prefix_all_positive(fn, lambda n: (w.term(n + 1), w.term(n)), b, prefix_len):
-            return AxiomVerdict(
-                AxiomKind.RHO1,
-                Outcome.FALSIFIED,
-                witness=w,
-                budget_used=b.used,
-                detail="linearly growing sequence keeps consecutive pairing positive",
-            )
-        if b.exhausted:
-            return _undetermined(AxiomKind.RHO1, b)
-    for limit in CANONICAL_POSITIVE:
-        w = make_witness("harmonic", limit=limit)
-        if _prefix_all_positive(fn, lambda n: (w.term(n + 1), w.term(n)), b, prefix_len):
-            return AxiomVerdict(
-                AxiomKind.RHO1,
-                Outcome.FALSIFIED,
-                witness=w,
-                budget_used=b.used,
-                detail=f"harmonic family converges to {limit:g}, not 0",
-            )
-        if b.exhausted:
-            return _undetermined(AxiomKind.RHO1, b)
-    return _undetermined(AxiomKind.RHO1, b)
-
-
-def _search_rho2(fn, b, rng, prefix_len) -> AxiomVerdict:
-    for level in CANONICAL_POSITIVE:
-        wa = make_witness("harmonic", limit=level)
-        partners = (
-            make_witness("constant", value=level),
-            make_witness("harmonic", limit=level),
-            make_witness("harmonic-below", limit=level),
-        )
-        for wb in partners:
-            if _prefix_all_positive(fn, lambda n: (wa.term(n), wb.term(n)), b, prefix_len):
-                return AxiomVerdict(
-                    AxiomKind.RHO2,
-                    Outcome.FALSIFIED,
-                    witness=make_pair_witness(wa, wb),
-                    budget_used=b.used,
-                    detail=f"both sequences converge to {level:g} > 0 with a_n above the limit",
-                )
-            if b.exhausted:
-                return _undetermined(AxiomKind.RHO2, b)
-    return _undetermined(AxiomKind.RHO2, b)
-
-
-def _check_geraghty(fn, b, rng) -> AxiomVerdict:
-    g = fn.handle("g")
-    if g is None:
-        return _undetermined(AxiomKind.GERAGHTY, b, "no unary handle to check")
-    for t in (0.0,) + CANONICAL_POSITIVE:
-        if not b.spend():
-            return _undetermined(AxiomKind.GERAGHTY, b)
-        v = g(t)
-        if v < 0.0 or v >= 1.0:
-            w = make_witness("constant", value=t)
-            return AxiomVerdict(
-                AxiomKind.GERAGHTY,
-                Outcome.FALSIFIED,
-                witness=w,
-                budget_used=b.used,
-                detail=f"g({t:g}) = {v:g} outside [0, 1)",
-            )
-    # Values approaching 1 far from the origin contradict the decay demand.
-    for scale in (1.0, 10.0):
-        probes = []
-        for k in range(1, 7):
-            if not b.spend():
-                return _undetermined(AxiomKind.GERAGHTY, b)
-            probes.append(g(scale * 10.0**k))
-        if min(probes[-2:]) >= 1.0 - 1e-9:
-            w = make_witness("linear", scale=scale)
-            return AxiomVerdict(
-                AxiomKind.GERAGHTY,
-                Outcome.FALSIFIED,
-                witness=w,
-                budget_used=b.used,
-                detail="g tends to 1 along a divergent sequence",
-            )
-    return _undetermined(AxiomKind.GERAGHTY, b)
-
-
-def _check_l_function(fn, b, rng) -> AxiomVerdict:
-    l = fn.handle("l")
-    if l is None:
-        return _undetermined(AxiomKind.L_FUNCTION, b, "no unary handle to check")
-    if not b.spend():
-        return _undetermined(AxiomKind.L_FUNCTION, b)
-    at_zero = l(0.0)
-    if abs(at_zero) > 1e-12:
-        return AxiomVerdict(
-            AxiomKind.L_FUNCTION,
-            Outcome.FALSIFIED,
-            witness=make_witness("constant", value=0.0),
-            budget_used=b.used,
-            detail=f"l(0) = {at_zero:g} != 0",
-        )
-    for eps in _positive_scan(rng):
-        if not b.spend():
-            return _undetermined(AxiomKind.L_FUNCTION, b)
-        v = l(eps)
-        if v <= 0.0:
-            return AxiomVerdict(
-                AxiomKind.L_FUNCTION,
-                Outcome.FALSIFIED,
-                witness=make_witness("constant", value=eps),
-                budget_used=b.used,
-                detail=f"l({eps:g}) = {v:g} not strictly positive",
-            )
-        if v > eps + 1e-12:
-            # No window [eps, eps + delta] can stay below eps when the left
-            # endpoint already exceeds it.
-            return AxiomVerdict(
-                AxiomKind.L_FUNCTION,
-                Outcome.FALSIFIED,
-                witness=make_witness("constant", value=eps),
-                budget_used=b.used,
-                detail=f"l({eps:g}) = {v:g} > {eps:g}",
-            )
-    return _undetermined(AxiomKind.L_FUNCTION, b)
-
-
-# --------------------------------------------------------------------------
-# Witness replay
-# --------------------------------------------------------------------------
+    b = _Budget(budget)
+    try:
+        witness, detail = _AXIOMS[kind].search(fn, c, random.Random(seed), prefix_len, b)
+    except _Exhausted:
+        witness, detail = None, _NOT_FOUND
+    outcome = Outcome.UNDETERMINED if witness is None else Outcome.FALSIFIED
+    return AxiomVerdict(kind, outcome, witness, b.used, detail)
 
 
 def replay_witness(
@@ -1007,57 +807,13 @@ def replay_witness(
 ) -> bool:
     """Re-run a stored counterexample and confirm it violates the axiom.
 
-    Checks the realized prefix exactly as the axiom states it, plus the
-    closed-form limit claim that makes the sequence a counterexample.
+    Re-runs the check of the axiom's definition that found the witness (the
+    one-index test for constant sequences, the prefix-and-tail test at the
+    default prefix length for families, the handle itself for handle
+    axioms), plus the closed-form limit claim that makes the sequence a
+    counterexample.
     """
-    if kind is AxiomKind.SIGMA1:
-        terms = [witness.term(n) for n in range(1, WITNESS_TERMS + 1)]
-        positive = all(
-            fn.eval(terms[n], terms[n - 1] + terms[n]) > 0.0
-            for n in range(1, len(terms))
-        )
-        return positive and witness.limit() != 0.0 and all(t > 0 for t in terms)
-    if kind is AxiomKind.RHO1:
-        terms = [witness.term(n) for n in range(1, WITNESS_TERMS + 1)]
-        positive = all(
-            fn.eval(terms[n], terms[n - 1]) > 0.0 for n in range(1, len(terms))
-        )
-        return positive and witness.limit() != 0.0 and all(t > 0 for t in terms)
-    if kind in (AxiomKind.SIGMA2, AxiomKind.DOLLAR, AxiomKind.RHO2):
-        wa, wb = witness.components
-        pairs = [(wa.term(n), wb.term(n)) for n in range(1, WITNESS_TERMS + 1)]
-        positive = all(fn.eval(t, s) > 0.0 for t, s in pairs)
-        if not positive or not all(t > 0 and s > 0 for t, s in pairs):
-            return False
-        if kind is AxiomKind.SIGMA2:
-            return wa.limit() > 0.0 and abs(wb.limit() - c * wa.limit()) <= 1e-9
-        if kind is AxiomKind.DOLLAR:
-            return wb.limit() == 0.0 and wa.limit() != 0.0
-        return (
-            wa.limit() > 0.0
-            and abs(wb.limit() - wa.limit()) <= 1e-9
-            and all(t > wa.limit() for t, _ in pairs)
-        )
-    if kind is AxiomKind.UPPER_BOUND:
-        wa, wb = witness.components
-        t, s = wa.param("value"), wb.param("value")
-        return fn.eval(t, s) >= s - t
-    if kind is AxiomKind.ZETA3:
-        wa, wb = witness.components
-        values = [fn.eval(wa.term(n), wb.term(n)) for n in range(1, WITNESS_TERMS + 1)]
-        threshold = 0.0 if wa.family == "constant" else 1e-9
-        return _estimate_limsup(values) >= threshold
-    if kind is AxiomKind.ETA2:
-        wa, wb = witness.components
-        ratios = [
-            (wa.term(n) + fn.eval(wa.term(n), wb.term(n))) / wb.term(n)
-            for n in range(1, WITNESS_TERMS + 1)
-        ]
-        threshold = 1.0 if wa.family == "constant" else 1.0 + 1e-9
-        return _estimate_limsup(ratios) >= threshold
-    if kind in (AxiomKind.GERAGHTY, AxiomKind.L_FUNCTION):
-        return True  # point witnesses carry their violation in the detail
-    raise ValueError(f"unhandled axiom kind {kind}")
+    return _AXIOMS[kind].replay(fn, witness, c)
 
 
 # --------------------------------------------------------------------------
@@ -1112,15 +868,14 @@ def classify(
     """
     cache: dict[tuple[AxiomKind, float | None], AxiomVerdict] = {}
 
-    def axiom(kind: AxiomKind, c: float | None = None) -> AxiomVerdict:
-        key = (kind, c)
-        if key not in cache:
-            cache[key] = check_axiom(
-                fn, kind, c=c if c is not None else 1.0, budget=budget, seed=seed
-            )
-        return cache[key]
-
-    def combine(name: str, verdicts: list[tuple[AxiomKind, AxiomVerdict]]) -> ClassVerdict:
+    def combine(name: str, kinds: tuple[AxiomKind, ...], c: float | None = None) -> ClassVerdict:
+        verdicts = []
+        for kind in kinds:
+            key = (kind, c if kind is AxiomKind.SIGMA2 else None)
+            if key not in cache:
+                at_c = 1.0 if key[1] is None else key[1]
+                cache[key] = check_axiom(fn, kind, c=at_c, budget=budget, seed=seed)
+            verdicts.append((kind, cache[key]))
         for kind, v in verdicts:
             if v.outcome is Outcome.FALSIFIED:
                 return ClassVerdict(name, Outcome.FALSIFIED, kind, v.witness, v.detail)
@@ -1128,18 +883,14 @@ def classify(
             return ClassVerdict(name, Outcome.CERTIFIED_HOLDS)
         return ClassVerdict(name, Outcome.UNDETERMINED)
 
-    sigma_entries = []
-    for c in c_values:
-        parts = [
-            (AxiomKind.SIGMA1, axiom(AxiomKind.SIGMA1)),
-            (AxiomKind.SIGMA2, axiom(AxiomKind.SIGMA2, c)),
-        ]
-        sigma_entries.append((float(c), combine(f"sigma-c({c:g})", parts)))
-
-    sim_parts = [(k, axiom(k)) for k in CLASS_CONSTITUENTS["simulation"]]
+    sigma_c = tuple(
+        (float(c), combine(f"sigma-c({c:g})", (AxiomKind.SIGMA1, AxiomKind.SIGMA2), c))
+        for c in c_values
+    )
+    classes = {name: combine(name, kinds) for name, kinds in CLASS_CONSTITUENTS.items()}
     origin = fn.eval(0.0, 0.0)
     if abs(origin) > 1e-12:
-        simulation = ClassVerdict(
+        classes["simulation"] = ClassVerdict(
             "simulation",
             Outcome.FALSIFIED,
             None,
@@ -1148,12 +899,6 @@ def classify(
             ),
             detail=f"eval(0, 0) = {origin:g} != 0",
         )
-    else:
-        simulation = combine("simulation", sim_parts)
-
-    manageable = combine("manageable", [(k, axiom(k)) for k in CLASS_CONSTITUENTS["manageable"]])
-    r_function = combine("r-function", [(k, axiom(k)) for k in CLASS_CONSTITUENTS["r-function"]])
-    dollar = combine("dollar", [(AxiomKind.DOLLAR, axiom(AxiomKind.DOLLAR))])
 
     flat = tuple(
         (f"{kind.value}" + (f"@c={c:g}" if c is not None else ""), verdict)
@@ -1163,10 +908,10 @@ def classify(
     )
     return ClassificationMatrix(
         fn_name=fn.name,
-        sigma_c=tuple(sigma_entries),
-        simulation=simulation,
-        manageable=manageable,
-        r_function=r_function,
-        dollar=dollar,
+        sigma_c=sigma_c,
+        simulation=classes["simulation"],
+        manageable=classes["manageable"],
+        r_function=classes["r-function"],
+        dollar=classes["dollar"],
         axiom_verdicts=flat,
     )

@@ -14,11 +14,11 @@ import json
 import random
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from importlib import resources
 
 from . import builtins as catalog
 from .conditions import (
-    ConditionReport,
     ConditionSpec,
     PairMode,
     check_condition,
@@ -48,7 +48,8 @@ from .picard import (
     run_picard_pair,
     solve,
 )
-from .sigma import AxiomKind, ComparisonFn, Outcome, WitnessSequence, check_axiom, classify, gallery
+from .report import condition_summary, round_floats, solve_summary, witness_summary
+from .sigma import AxiomKind, ComparisonFn, Outcome, check_axiom, classify, gallery
 
 THEOREM_IDS = ("T2.1", "T2.2", "T3.17", "T3.18", "T3.29", "T3.33", "C3.19", "C3.31", "C3.32")
 
@@ -217,43 +218,53 @@ def _injective_hypothesis(sc: Scenario) -> Hypothesis:
     raise AssertionError("unreachable")
 
 
-def _plain_orbit_limits(sc: Scenario) -> tuple[tuple[str, ...], object]:
-    """Subsequential limits of the iterate sequence on a finite space.
+class _OrbitLimits:
+    """The orbit limit sets of one scenario, each computed on first use."""
 
-    The orbit is eventually periodic, so the limit set is the cycle (or the
-    single coincidence point when the orbit stabilizes).
-    """
-    ident = identity_map(sc.space)
-    base = sc.x0 if sc.x0 is not None else sc.space.labels[0]
-    trace = run_picard_pair(
-        sc.space, sc.t_map, ident, base, policy=sc.policy, max_iter=sc.max_iter, tol=sc.tol
-    )
-    if trace.coincidence_index is not None:
-        idx = trace.points[trace.coincidence_index]
-        return (sc.space.labels[idx],), trace
-    return trace.cycle_labels(), trace
+    def __init__(self, sc: Scenario):
+        self.sc = sc
 
+    @cached_property
+    def plain(self) -> tuple[tuple[str, ...], object]:
+        """Subsequential limits of the iterate sequence on a finite space.
 
-def _pair_chain_t_limits(sc: Scenario) -> tuple[tuple[str, ...], object]:
-    base = sc.x0 if sc.x0 is not None else find_clr_base(sc.space, sc.t_map, sc.s_map)
-    if base is None:
-        return (), None
-    trace = run_picard_pair(
-        sc.space, sc.t_map, sc.s_map, base, policy=sc.policy, max_iter=sc.max_iter, tol=sc.tol
-    )
-    if trace.coincidence_index is not None:
-        idx = trace.points[trace.coincidence_index]
-        return (sc.space.labels[sc.t_map.assignment[idx]],), trace
-    if trace.cycle is not None:
-        stop = trace.cycle.start + trace.cycle.period
-        return (
-            tuple(
-                sc.space.labels[sc.t_map.assignment[i]]
-                for i in trace.points[trace.cycle.start : stop]
-            ),
-            trace,
+        The orbit is eventually periodic, so the limit set is the cycle (or the
+        single coincidence point when the orbit stabilizes).
+        """
+        sc = self.sc
+        ident = identity_map(sc.space)
+        base = sc.x0 if sc.x0 is not None else sc.space.labels[0]
+        trace = run_picard_pair(
+            sc.space, sc.t_map, ident, base, policy=sc.policy, max_iter=sc.max_iter, tol=sc.tol
         )
-    return (), trace
+        if trace.coincidence_index is not None:
+            idx = trace.points[trace.coincidence_index]
+            return (sc.space.labels[idx],), trace
+        return trace.cycle_labels(), trace
+
+    @cached_property
+    def pair_chain_t(self) -> tuple[tuple[str, ...], object]:
+        """Subsequential limits of the T-images along a chain of the pair."""
+        sc = self.sc
+        base = sc.x0 if sc.x0 is not None else find_clr_base(sc.space, sc.t_map, sc.s_map)
+        if base is None:
+            return (), None
+        trace = run_picard_pair(
+            sc.space, sc.t_map, sc.s_map, base, policy=sc.policy, max_iter=sc.max_iter, tol=sc.tol
+        )
+        if trace.coincidence_index is not None:
+            idx = trace.points[trace.coincidence_index]
+            return (sc.space.labels[sc.t_map.assignment[idx]],), trace
+        if trace.cycle is not None:
+            stop = trace.cycle.start + trace.cycle.period
+            return (
+                tuple(
+                    sc.space.labels[sc.t_map.assignment[i]]
+                    for i in trace.points[trace.cycle.start : stop]
+                ),
+                trace,
+            )
+        return (), trace
 
 
 def _designated_point(sc: Scenario, limits: tuple[str, ...]) -> str | None:
@@ -264,118 +275,114 @@ def _designated_point(sc: Scenario, limits: tuple[str, ...]) -> str | None:
 
 def check_hypotheses(sc: Scenario) -> HypothesisReport:
     """Evaluate the hypothesis checklist of the scenario's theorem."""
+    return _checklist(sc, _OrbitLimits(sc))
+
+
+def _checklist(sc: Scenario, orbits: _OrbitLimits) -> HypothesisReport:
     if sc.theorem not in THEOREM_IDS:
         raise MalformedScenario(f"unknown theorem id {sc.theorem!r}")
-    hyps: list[Hypothesis] = []
     tid = sc.theorem
+    complete = _trivial("space-complete", "finite spaces are complete")
+    image_complete = _trivial("s-image-complete", "finite subsets are complete")
+    continuous = "every self-map of a finite space is continuous"
 
     if tid == "T2.1":
-        hyps.append(_trivial("space-complete", "finite spaces are complete"))
-        hyps.append(
+        hyps = [
+            complete,
             _condition_hypothesis(
                 sc, "classical-kannan-condition", classical_kannan(_scenario_alpha(sc))
-            )
-        )
+            ),
+        ]
     elif tid == "T2.2":
-        hyps.append(
+        hyps = [
             _condition_hypothesis(
                 sc, "classical-kannan-condition", classical_kannan(_scenario_alpha(sc))
-            )
-        )
-        hyps.append(
-            _trivial("continuity-at-limit", "every self-map of a finite space is continuous")
-        )
-        hyps.append(_subsequence_hypothesis(sc, plain=True))
+            ),
+            _trivial("continuity-at-limit", continuous),
+            _subsequence_hypothesis(sc, orbits, plain=True),
+        ]
     elif tid == "T3.17":
-        hyps.append(_clr_hypothesis(sc))
-        hyps.append(
-            _condition_hypothesis(sc, "sigma-s-kannan-condition", sigma_s_kannan(_scenario_sigma(sc)))
-        )
-        hyps.append(_axiom_hypothesis(sc, "sigma1", AxiomKind.SIGMA1))
-        hyps.append(_axiom_hypothesis(sc, f"sigma2(c={sc.c:g})", AxiomKind.SIGMA2, sc.c))
-        hyps.append(_regularity_side_hypothesis(sc))
-        hyps.append(
-            _trivial(
-                "continuity-at-designated",
-                "every self-map of a finite space is continuous",
-            )
-        )
-        hyps.append(_subsequence_hypothesis(sc, plain=False))
+        hyps = [
+            _clr_hypothesis(sc),
+            _condition_hypothesis(
+                sc, "sigma-s-kannan-condition", sigma_s_kannan(_scenario_sigma(sc))
+            ),
+            *_sigma_class_hypotheses(sc),
+            _trivial("continuity-at-designated", continuous),
+            _subsequence_hypothesis(sc, orbits, plain=False),
+        ]
     elif tid == "T3.18":
-        hyps.append(_clr_hypothesis(sc))
-        hyps.append(_trivial("s-image-complete", "finite subsets are complete"))
-        hyps.append(
-            _condition_hypothesis(sc, "sigma-s-kannan-condition", sigma_s_kannan(_scenario_sigma(sc)))
-        )
-        hyps.append(_axiom_hypothesis(sc, "sigma1", AxiomKind.SIGMA1))
-        hyps.append(_axiom_hypothesis(sc, f"sigma2(c={sc.c:g})", AxiomKind.SIGMA2, sc.c))
-        hyps.append(_regularity_side_hypothesis(sc))
+        hyps = [
+            _clr_hypothesis(sc),
+            image_complete,
+            _condition_hypothesis(
+                sc, "sigma-s-kannan-condition", sigma_s_kannan(_scenario_sigma(sc))
+            ),
+            *_sigma_class_hypotheses(sc),
+        ]
     elif tid == "T3.29":
-        hyps.append(_trivial("s-image-complete", "finite subsets are complete"))
-        hyps.append(_injective_hypothesis(sc))
-        hyps.append(
+        hyps = [
+            image_complete,
+            _injective_hypothesis(sc),
             _condition_hypothesis(
                 sc,
                 f"s-dominated-condition(w={_scenario_w(sc)})",
                 s_dominated(_scenario_sigma(sc), _scenario_w(sc)),
-            )
-        )
-        hyps.append(_axiom_hypothesis(sc, "sigma1", AxiomKind.SIGMA1))
-        hyps.append(_axiom_hypothesis(sc, f"sigma2(c={sc.c:g})", AxiomKind.SIGMA2, sc.c))
-        hyps.append(_regularity_side_hypothesis(sc))
+            ),
+            *_sigma_class_hypotheses(sc),
+        ]
     elif tid == "T3.33":
-        hyps.append(
+        hyps = [
             _condition_hypothesis(
                 sc, "s-dominated-condition(w=1)", s_dominated(_scenario_sigma(sc), 1)
-            )
-        )
-        hyps.append(_regularity_side_hypothesis(sc))
-        hyps.append(_subsequence_hypothesis(sc, plain=True))
-        hyps.append(
-            _trivial(
-                "continuity-at-designated",
-                "every self-map of a finite space is continuous",
-            )
-        )
-        hyps.append(_injective_hypothesis(sc))
+            ),
+            _regularity_side_hypothesis(sc),
+            _subsequence_hypothesis(sc, orbits, plain=True),
+            _trivial("continuity-at-designated", continuous),
+            _injective_hypothesis(sc),
+        ]
     elif tid == "C3.19":
-        hyps.append(_trivial("space-complete", "finite spaces are complete"))
-        hyps.append(
-            _condition_hypothesis(sc, "sigma-kannan-condition", sigma_kannan(_scenario_sigma(sc)))
-        )
-        hyps.append(_axiom_hypothesis(sc, "sigma1", AxiomKind.SIGMA1))
-        hyps.append(_axiom_hypothesis(sc, f"sigma2(c={sc.c:g})", AxiomKind.SIGMA2, sc.c))
-        hyps.append(_regularity_side_hypothesis(sc))
+        hyps = [
+            complete,
+            _condition_hypothesis(sc, "sigma-kannan-condition", sigma_kannan(_scenario_sigma(sc))),
+            *_sigma_class_hypotheses(sc),
+        ]
     elif tid == "C3.31":
-        hyps.append(_trivial("space-complete", "finite spaces are complete"))
-        hyps.append(
+        hyps = [
+            complete,
             _condition_hypothesis(
                 sc, "squared-kannan-condition", koparde_waghmode(_scenario_alpha(sc))
-            )
-        )
-    elif tid == "C3.32":
-        hyps.append(_trivial("space-complete", "finite spaces are complete"))
-        hyps.append(
+            ),
+        ]
+    else:  # C3.32
+        hyps = [
+            complete,
             _condition_hypothesis(
                 sc, "dominated-sum-condition", malceski(_scenario_alpha(sc), 0.0)
-            )
-        )
-        hyps.append(_injective_hypothesis(sc))
-        hyps.append(
-            _trivial("s-continuous", "every self-map of a finite space is continuous")
-        )
-        hyps.append(
+            ),
+            _injective_hypothesis(sc),
+            _trivial("s-continuous", continuous),
             _trivial(
                 "s-sequentially-convergent",
                 "finite spaces have no non-trivial convergence to break",
-            )
-        )
+            ),
+        ]
     return HypothesisReport(tid, tuple(hyps))
 
 
-def _subsequence_hypothesis(sc: Scenario, plain: bool) -> Hypothesis:
+def _sigma_class_hypotheses(sc: Scenario) -> list[Hypothesis]:
+    """Membership of the scenario's function in the sigma_c class, plus the
+    upper-bound-or-dollar side condition."""
+    return [
+        _axiom_hypothesis(sc, "sigma1", AxiomKind.SIGMA1),
+        _axiom_hypothesis(sc, f"sigma2(c={sc.c:g})", AxiomKind.SIGMA2, sc.c),
+        _regularity_side_hypothesis(sc),
+    ]
+
+
+def _subsequence_hypothesis(sc: Scenario, orbits: _OrbitLimits, plain: bool) -> Hypothesis:
     if plain:
-        limits, _ = _plain_orbit_limits(sc)
+        limits, _ = orbits.plain
         target = _designated_point(sc, limits)
         name = "iterate-subsequence-converges"
         if target is None:
@@ -385,7 +392,7 @@ def _subsequence_hypothesis(sc: Scenario, plain: bool) -> Hypothesis:
         return Hypothesis(
             name, HypothesisStatus.FAILS, f"{target} is not among limit points {list(limits)}"
         )
-    limits, _ = _pair_chain_t_limits(sc)
+    limits, _ = orbits.pair_chain_t
     name = "t-images-subsequence-converges"
     if sc.q is not None:
         target = sc.s_map(sc.q)
@@ -421,15 +428,6 @@ _EXPECTED = {
 }
 
 
-def _solve_summary(result) -> dict:
-    return {
-        "kind": result.kind.value,
-        "point": result.point,
-        "iterations": result.iterations,
-        "cycle_points": list(result.cycle_points),
-    }
-
-
 def run_theorem(sc: Scenario) -> HypothesisReport:
     """Hypotheses plus the oracle-checked conclusion.
 
@@ -437,30 +435,24 @@ def run_theorem(sc: Scenario) -> HypothesisReport:
     ``contradicted`` flags the only alarming combination (hypotheses all
     hold, conclusion fails).
     """
-    report = check_hypotheses(sc)
+    orbits = _OrbitLimits(sc)
+    report = _checklist(sc, orbits)
     tid = sc.theorem
     expected = _EXPECTED[tid]
 
     oracle = brute_force_points(sc.space, sc.t_map, sc.s_map)
     observed: dict = {
-        "fixed_points": list(brute_force_points(sc.space, sc.t_map).fixed_points),
+        "fixed_points": list(oracle.fixed_points),
         "coincidence_points": list(oracle.coincidence_points),
     }
 
-    uses_pair_chain = tid in ("T3.17", "T3.18")
-    ident = identity_map(sc.space)
+    # The coincidence statements run chains of the pair, the others plain orbits.
+    s_map = sc.s_map if tid in ("T3.17", "T3.18") else identity_map(sc.space)
     try:
-        if uses_pair_chain:
-            result = solve(
-                sc.space, sc.t_map, sc.s_map, sc.x0,
-                policy=sc.policy, max_iter=sc.max_iter, tol=sc.tol,
-            )
-        else:
-            result = solve(
-                sc.space, sc.t_map, ident, sc.x0,
-                policy=sc.policy, max_iter=sc.max_iter, tol=sc.tol,
-            )
-        observed["solve"] = _solve_summary(result)
+        result = solve(
+            sc.space, sc.t_map, s_map, sc.x0, policy=sc.policy, max_iter=sc.max_iter, tol=sc.tol
+        )
+        observed["solve"] = solve_summary(result)
     except NoClrBase:
         result = None
         observed["solve"] = {"error": "no-clr-base"}
@@ -481,7 +473,7 @@ def run_theorem(sc: Scenario) -> HypothesisReport:
             and result.point == fixed[0]
         )
     elif expected == "designated-point-fixed":
-        limits, _ = _plain_orbit_limits(sc)
+        limits, _ = orbits.plain
         target = _designated_point(sc, limits)
         observed["designated"] = target
         match = (
@@ -490,7 +482,7 @@ def run_theorem(sc: Scenario) -> HypothesisReport:
             and observed["fixed_points"] == [target]
         )
     else:  # coincidence-or-designated-fixed
-        limits, trace = _pair_chain_t_limits(sc)
+        limits, trace = orbits.pair_chain_t
         target = None
         if sc.q is not None:
             target = sc.s_map(sc.q)
@@ -539,24 +531,20 @@ def run_theorem(sc: Scenario) -> HypothesisReport:
 
 
 def builtin_scenario(example_id: str) -> Scenario:
-    if example_id not in catalog.EXAMPLE_IDS or example_id == "classify-gallery":
+    if example_id not in catalog.EXAMPLES:
         raise UnknownExample(f"no builtin scenario {example_id!r}")
-    space, t_map, s_map = catalog.builtin_triple(example_id)
+    example = catalog.EXAMPLES[example_id]
+    space, t_map, s_map = example.build()
     sigma, c = catalog.builtin_sigma(example_id)
-    theorem = catalog.builtin_theorem_id(example_id)
-    w = 1 if example_id in ("ex-3.34", "ex-3.35", "patel-deheri-demo") else None
-    if example_id == "koparde-demo":
-        w = 2
-    x0 = "1.00" if example_id == "koparde-demo" else None
     return Scenario(
         space=space,
         t_map=t_map,
         s_map=s_map,
         sigma=sigma,
         c=c,
-        theorem=theorem,
-        w=w,
-        x0=x0,
+        theorem=example.theorem,
+        w=example.w,
+        x0=example.x0,
         name=example_id,
     )
 
@@ -596,8 +584,6 @@ def reproduce(example_id: str) -> ReproduceReport:
     mismatches: list[str] = []
     # Golden values are stored at 12 significant digits; compare at the
     # same precision so re-rendering is the identity.
-    from .report import round_floats
-
     _compare("", golden, round_floats(computed), mismatches)
     return ReproduceReport(example_id, computed, golden, tuple(mismatches))
 
@@ -643,34 +629,6 @@ def _compare(path: str, want, got, out: list[str]) -> None:
     out.append(f"{path}: unsupported golden type {type(want).__name__}")
 
 
-def _witness_summary(w: WitnessSequence | None) -> dict | None:
-    if w is None:
-        return None
-    if w.family == "pair":
-        a, b = w.components
-        return {"family": "pair", "a": _witness_summary(a), "b": _witness_summary(b)}
-    return {"family": w.family, **{k: v for k, v in w.params}}
-
-
-def _condition_summary(report: ConditionReport) -> dict:
-    out = {
-        "holds": report.holds,
-        "pairs_checked": report.pairs_checked,
-        "pairs_skipped": report.pairs_skipped,
-    }
-    if report.witness is not None:
-        w = report.witness
-        out["witness"] = {
-            "pair": [w.x, w.y],
-            "t": w.t,
-            "s": w.s,
-            "value": w.value,
-        }
-        if w.required_alpha is not None:
-            out["witness"]["required_alpha"] = w.required_alpha
-    return out
-
-
 def _compute_ex_3_24() -> dict:
     sc = builtin_scenario("ex-3.24")
     space, t_map, s_map = sc.space, sc.t_map, sc.s_map
@@ -697,9 +655,9 @@ def _compute_ex_3_24() -> dict:
             "unbounded": sup.unbounded,
         },
         "classical_alpha_sweep": {"alphas": alphas, "all_fail": all_fail},
-        "classical_at_0.49": _condition_summary(near_half),
+        "classical_at_0.49": condition_summary(near_half),
         "sigma_s_kannan": {
-            **_condition_summary(sweep),
+            **condition_summary(sweep),
             "sample_pair_4_1": {
                 "t": spot_t,
                 "s": spot_s,
@@ -707,7 +665,7 @@ def _compute_ex_3_24() -> dict:
             },
         },
         "coincidence_points": list(oracle.coincidence_points),
-        "solve": _solve_summary(result),
+        "solve": solve_summary(result),
         "solve_in_oracle": result.point in oracle.coincidence_points,
         "theorem": {
             "all_hold": theorem.all_hold,
@@ -742,7 +700,7 @@ def _compute_ex_3_26() -> dict:
     statuses = {h.name: h.status.value for h in theorem.hypotheses}
     return {
         "pair_table": pair_table,
-        "condition": _condition_summary(sweep),
+        "condition": condition_summary(sweep),
         "fixed_points": list(oracle.fixed_points),
         "orbit": {
             "first_points": list(trace.point_labels()[:5]),
@@ -752,7 +710,7 @@ def _compute_ex_3_26() -> dict:
         },
         "sigma1": {
             "outcome": sigma1.outcome.value,
-            "witness": _witness_summary(sigma1.witness),
+            "witness": witness_summary(sigma1.witness),
             "eval_at_witness": sc.sigma.eval(1.0, 2.0),
         },
         "theorem": {
@@ -792,9 +750,9 @@ def _compute_ex_3_34() -> dict:
     )
     return {
         "n_points": space.n,
-        "s_dominated": _condition_summary(sweep),
+        "s_dominated": condition_summary(sweep),
         "spot_pair": {"x": "1/4", "y": "1/5", "t": spot_t, "s_over_3": spot_s / 3.0},
-        "classical_at_0.49": _condition_summary(classical),
+        "classical_at_0.49": condition_summary(classical),
         "picard": {
             "asymptotically_regular": diag.asymptotically_regular,
             "coincidence_point": coincidence_at,
@@ -816,9 +774,9 @@ def _compute_ex_3_35() -> dict:
     oracle = brute_force_points(space, t_map, s_map)
     theorem = run_theorem(sc)
     return {
-        "s_dominated": _condition_summary(sweep),
+        "s_dominated": condition_summary(sweep),
         "s_injective": s_map.is_injective,
-        "fixed_points": list(brute_force_points(space, t_map).fixed_points),
+        "fixed_points": list(oracle.fixed_points),
         "coincidence_points": list(oracle.coincidence_points),
         "theorem": {
             "all_hold": theorem.all_hold,
@@ -833,10 +791,10 @@ def _compute_koparde() -> dict:
     space, t_map = sc.space, sc.t_map
     sweep = check_condition(space, t_map, None, koparde_waghmode(0.3), sc.mode)
     oracle = brute_force_points(space, t_map)
-    result = solve(space, t_map, identity_map(space), x0="1.00", tol=sc.tol)
+    result = solve(space, t_map, identity_map(space), x0=sc.x0, tol=sc.tol)
     theorem = run_theorem(sc)
     return {
-        "condition": _condition_summary(sweep),
+        "condition": condition_summary(sweep),
         "fixed_points": list(oracle.fixed_points),
         "picard": {
             "point": result.point,
@@ -855,8 +813,8 @@ def _compute_patel_deheri() -> dict:
     oracle = brute_force_points(space, t_map)
     theorem = run_theorem(sc)
     return {
-        "condition": _condition_summary(sweep),
-        "strict_condition": _condition_summary(strict),
+        "condition": condition_summary(sweep),
+        "strict_condition": condition_summary(strict),
         "s_injective": s_map.is_injective,
         "fixed_points": list(oracle.fixed_points),
         "theorem": {
@@ -886,9 +844,9 @@ def _compute_classify_gallery() -> dict:
             entry["sigma_c_1_failing"] = (
                 sigma1_side.failing_axiom.value if sigma1_side.failing_axiom else None
             )
-            entry["sigma_c_1_witness"] = _witness_summary(sigma1_side.witness)
+            entry["sigma_c_1_witness"] = witness_summary(sigma1_side.witness)
         if matrix.simulation.outcome is Outcome.FALSIFIED:
-            entry["simulation_witness"] = _witness_summary(matrix.simulation.witness)
+            entry["simulation_witness"] = witness_summary(matrix.simulation.witness)
             if matrix.simulation.witness is not None and matrix.simulation.witness.family == "pair":
                 a, b = matrix.simulation.witness.components
                 if a.family == "constant" and b.family == "constant":
@@ -901,7 +859,7 @@ def _compute_classify_gallery() -> dict:
                 if matrix.r_function.failing_axiom
                 else None
             )
-            entry["r_function_witness"] = _witness_summary(matrix.r_function.witness)
+            entry["r_function_witness"] = witness_summary(matrix.r_function.witness)
         members[key] = entry
     return {"members": members, "c_values": list(catalog.CLASSIFY_C_VALUES)}
 

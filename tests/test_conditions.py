@@ -5,19 +5,24 @@ import pytest
 from kannanlab import (
     PairMode,
     SpaceMismatch,
+    brute_force_points,
     build_finite_space,
     check_condition,
     classical_kannan,
     constant_map,
+    diagnose,
+    find_clr_base,
     gallery,
     identity_map,
     kannan_supremum,
     koparde_waghmode,
     malceski,
     random_space,
+    run_picard_pair,
     s_dominated,
     sigma_kannan,
     sigma_s_kannan,
+    solve,
     SelfMap,
 )
 
@@ -161,8 +166,22 @@ def test_condition_spec_validation():
 def test_space_mismatch_raises(five_point, three_point):
     space, t_map, s_map = five_point
     other_space, other_t, _ = three_point
-    with pytest.raises(SpaceMismatch):
-        check_condition(space, other_t, s_map, sigma_s_kannan(gallery("tau")))
+    spec = sigma_s_kannan(gallery("tau"))
+    trace = run_picard_pair(space, t_map, s_map, find_clr_base(space, t_map, s_map))
+    for call in (
+        lambda: check_condition(space, other_t, s_map, spec),
+        lambda: check_condition(space, t_map, other_t, spec),
+        lambda: kannan_supremum(space, other_t),
+        lambda: t_map.compose(other_t),
+        lambda: find_clr_base(space, t_map, other_t),
+        lambda: run_picard_pair(space, other_t, s_map, "1"),
+        lambda: diagnose(trace, space, t_map, other_t),
+        lambda: solve(space, other_t, s_map, "1"),
+        lambda: brute_force_points(space, other_t),
+        lambda: brute_force_points(space, t_map, other_t),
+    ):
+        with pytest.raises(SpaceMismatch):
+            call()
 
 
 def test_squared_form_equals_degree_two_linear_reduction():

@@ -19,6 +19,7 @@ from kannanlab import (
     run_picard_pair,
     solve,
 )
+from kannanlab.sigma import make_witness
 
 positive = st.floats(min_value=1e-6, max_value=100.0, allow_nan=False)
 
@@ -94,29 +95,38 @@ def test_every_falsified_verdict_replays():
         gallery("step-g"),
         gallery("step-omega"),
         gallery("chi", alpha=0.4),
+        gallery("theta-pi", alpha=0.3),
+        gallery("theta-geraghty", alpha=0.5),
+        gallery("theta-l", alpha=0.3),
         gallery("tau"),
+        gallery("psi-phi"),
+        gallery("linear", slope=0.8),
+        gallery("theta-geraghty", alpha=0.5, g_fn=lambda t: 1.2),
+        gallery("theta-l", alpha=0.3, l_fn=lambda t: 2 * t),
+        gallery("psi-phi", psi_fn=lambda t: 2.0 * t, phi_fn=lambda t: t),
     ]
-    replayed = 0
+    replayed = set()
     for fn in members:
-        for c in (1.0, 2.0, 3.0):
-            verdict = check_axiom(fn, AxiomKind.SIGMA2, c=c)
-            if verdict.outcome is Outcome.FALSIFIED:
-                assert replay_witness(fn, AxiomKind.SIGMA2, verdict.witness, c=c)
-                replayed += 1
-        for kind in (
-            AxiomKind.SIGMA1,
-            AxiomKind.DOLLAR,
-            AxiomKind.UPPER_BOUND,
-            AxiomKind.ZETA3,
-            AxiomKind.ETA2,
-            AxiomKind.RHO1,
-            AxiomKind.RHO2,
-        ):
-            verdict = check_axiom(fn, kind)
-            if verdict.outcome is Outcome.FALSIFIED:
-                assert replay_witness(fn, kind, verdict.witness), (fn.name, kind)
-                replayed += 1
-    assert replayed >= 10
+        for kind in AxiomKind:
+            for c in (1.0, 2.0, 3.0):
+                verdict = check_axiom(fn, kind, c=c)
+                if verdict.outcome is Outcome.FALSIFIED:
+                    assert replay_witness(fn, kind, verdict.witness, c=c), (fn.name, kind, c)
+                    replayed.add(kind)
+    assert replayed == set(AxiomKind)
+
+
+def test_replay_rejects_non_witnesses_of_handle_axioms():
+    # g(1) = 0.5 lies in [0, 1) and l(x) = x / 2 meets every demand.
+    geraghty = gallery("theta-geraghty", alpha=0.5)
+    for witness in (make_witness("constant", value=1.0), make_witness("linear", scale=1.0)):
+        assert not replay_witness(geraghty, AxiomKind.GERAGHTY, witness)
+    theta_l = gallery("theta-l", alpha=0.3)
+    for value in (0.0, 1.0):
+        witness = make_witness("constant", value=value)
+        assert not replay_witness(theta_l, AxiomKind.L_FUNCTION, witness)
+    stuck = gallery("theta-geraghty", alpha=0.5, g_fn=lambda t: 1.2)
+    assert replay_witness(stuck, AxiomKind.GERAGHTY, make_witness("constant", value=1.0))
 
 
 @given(seed=st.integers(min_value=0, max_value=5_000))

@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+from kannanlab import reproduce
+from kannanlab.builtins import EXAMPLE_IDS
 from kannanlab.cli import main
+from kannanlab.report import render_json
 from kannanlab.scenario import ParseError, ValidationError, parse_scenario, parse_scenario_dict
 
 
@@ -43,6 +46,22 @@ def test_minimal_single_point_scenario():
     )
     assert doc.scenario.space.n == 1
     assert doc.scenario.t_map.is_identity
+
+
+def test_abs_diff_points_labels_and_errors():
+    def space(**section):
+        doc = parse_scenario_dict(
+            {"space": {"type": "finite", **section}, "maps": {"T": "identity"}}
+        )
+        return doc.scenario.space
+
+    assert space(points=[1, 2.5], labels=[]).labels == ("1", "2.5")
+    assert space(points=[1, 2.5], labels=["a", "b"]).labels == ("a", "b")
+    assert space(points=[0, 3]).dist == ((0.0, 3.0), (3.0, 0.0))
+    for bad in ({"points": [1, 1]}, {"points": [1, 2], "labels": ["a"]}, {"points": ["x"]}):
+        with pytest.raises(ValidationError) as err:
+            space(**bad)
+        assert err.value.field == "space.points"
 
 
 def test_unknown_keys_and_bad_numbers_rejected():
@@ -98,16 +117,11 @@ def test_cli_reproduce_counterexample_contract(capsys):
 
 
 def test_cli_reproduce_all_exit_zero(capsys):
-    for example in (
-        "ex-3.24",
-        "ex-3.34",
-        "ex-3.35",
-        "koparde-demo",
-        "patel-deheri-demo",
-        "classify-gallery",
-    ):
+    for example in EXAMPLE_IDS:
         assert main(["reproduce", example]) == 0
         capsys.readouterr()
+        r = reproduce(example)
+        assert render_json(r.computed) == render_json(r.golden)
 
 
 def test_cli_reproduce_unknown_is_input_error(capsys):
