@@ -39,30 +39,18 @@ def build_parser() -> argparse.ArgumentParser:
         prog="kannanlab",
         description="Fixed-point and coincidence-point checks on finite metric spaces",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--mode", choices=["positive", "all"], help="pair sweep mode override")
-        p.add_argument("--tol", type=float, help="tolerance override")
-        p.add_argument("--max-iter", type=int, help="iteration cap override")
-        p.add_argument("--seed", type=int, help="random seed override")
-        p.add_argument("--format", choices=["json", "text"], default="json")
-        p.add_argument("--out", help="also write the report to this path")
-
-    for name, needs_file in (
-        ("validate", True),
-        ("classify", True),
-        ("check", True),
-        ("solve", True),
-        ("theorem", True),
-        ("reproduce", False),
-    ):
-        p = sub.add_parser(name)
-        if needs_file:
-            p.add_argument("file", help="scenario file (JSON)")
-        else:
-            p.add_argument("example_id", help="builtin example id")
-        add_common(p)
+    parser.add_argument(
+        "command", choices=["validate", "classify", "check", "solve", "theorem", "reproduce"]
+    )
+    parser.add_argument(
+        "target", help="scenario file (JSON), or a builtin example id for reproduce"
+    )
+    parser.add_argument("--mode", choices=["positive", "all"], help="pair sweep mode override")
+    parser.add_argument("--tol", type=float, help="tolerance override")
+    parser.add_argument("--max-iter", type=int, help="iteration cap override")
+    parser.add_argument("--seed", type=int, help="random seed override")
+    parser.add_argument("--format", choices=["json", "text"], default="json")
+    parser.add_argument("--out", help="also write the report to this path")
     return parser
 
 
@@ -107,7 +95,7 @@ def main(argv=None) -> int:
 
 
 def _load(args) -> ScenarioDoc:
-    doc = parse_scenario(args.file)
+    doc = parse_scenario(args.target)
     sc = doc.scenario
     overrides = {}
     if args.mode is not None:
@@ -154,14 +142,8 @@ def _scenario_echo(doc: ScenarioDoc) -> dict:
 
 
 def _cmd_validate(args, doc: ScenarioDoc):
-    # Construction already validated the axioms; re-assert and report.
-    violations = doc.scenario.space.violations()
-    body = {
-        "scenario": _scenario_echo(doc),
-        "valid": not violations,
-        "violations": [_violation_dict(v) for v in violations],
-    }
-    return (EXIT_OK if not violations else EXIT_FALSIFIED), body
+    # Parsing validated the axioms: a table that breaks one raised MetricInvalid.
+    return EXIT_OK, {"scenario": _scenario_echo(doc), "valid": True, "violations": []}
 
 
 def _cmd_classify(args, doc: ScenarioDoc):
@@ -298,7 +280,7 @@ def _cmd_theorem(args, doc: ScenarioDoc):
 
 
 def _cmd_reproduce(args):
-    result = reproduce(args.example_id)
+    result = reproduce(args.target)
     body = {
         "example": result.example_id,
         "match": result.match,

@@ -14,8 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterator
 
-from .metric import DEFAULT_TOL, FiniteMetricSpace, SelfMap, identity_map, require_same_space
+from .metric import DEFAULT_TOL, FiniteMetricSpace, SelfMap, require_same_space
 from .sigma import ComparisonFn
 
 
@@ -109,6 +110,84 @@ class ConditionReport:
     witness: PairWitness | None
 
 
+#: Each kind's image map a, the two points whose distance is the per-point
+#: term e(x), and the degree w (None: the spec's w, default 1), with maps
+#: named "x" (identity), "T", "S" and "ST" (S after T).  The argument order
+#: of e(x) is part of the definition: tables are symmetric only within
+#: tolerance.
+_PAIRINGS = {
+    ConditionKind.CLASSICAL_KANNAN: ("T", "T", "x", 1),
+    ConditionKind.SIGMA_KANNAN: ("T", "T", "x", 1),
+    ConditionKind.SIGMA_S_KANNAN: ("T", "T", "S", 1),
+    ConditionKind.S_DOMINATED: ("ST", "S", "ST", None),
+    ConditionKind.MALCESKI: ("ST", "S", "ST", 1),
+    ConditionKind.KOPARDE_WAGHMODE: ("T", "x", "T", 2),
+}
+
+
+@dataclass(frozen=True)
+class Pairing:
+    """One condition's pair terms on one space: every condition compares
+    t = d(ax, ay)^w with s = e(x) + e(y), with ``terms`` holding e raised to w."""
+
+    space: FiniteMetricSpace
+    image: tuple[int, ...]
+    terms: tuple[float, ...]
+    w: int
+
+    def t_row(self, i: int) -> list[float]:
+        """t of the pairs (i, j), j in index order (w = 1 skips the power)."""
+        row, w = self.space.dist[self.image[i]], self.w
+        return [row[b] for b in self.image] if w == 1 else [row[b] ** w for b in self.image]
+
+    def pair(self, i: int, j: int) -> tuple[float, float]:
+        t = self.space.dist[self.image[i]][self.image[j]]
+        return t ** self.w, self.terms[i] + self.terms[j]
+
+    def sweep(self, skip_tol: float) -> Iterator[tuple[int, int, float, float]]:
+        """(i, j, t, s) of the ordered pairs in index order, except those with t <= skip_tol."""
+        terms = self.terms
+        for i, ei in enumerate(terms):
+            for j, t in enumerate(self.t_row(i)):
+                if t > skip_tol:
+                    yield i, j, t, ei + terms[j]
+
+
+def pairing(
+    space: FiniteMetricSpace, t_map: SelfMap, s_map: SelfMap | None, spec: ConditionSpec
+) -> Pairing:
+    """The pair terms of ``spec``'s condition; a missing S is the identity."""
+    require_same_space(space, t_map, s_map)
+    n, dist, t_of = space.n, space.dist, t_map.assignment
+    s_of = range(n) if s_map is None else s_map.assignment
+    maps = {"x": range(n), "T": t_of, "S": s_of, "ST": tuple(s_of[v] for v in t_of)}
+    image, left, right, w = _PAIRINGS[spec.kind]
+    w = w or spec.w or 1
+    terms = tuple(dist[a][b] ** w for a, b in zip(maps[left], maps[right]))
+    return Pairing(space, tuple(maps[image]), terms, w)
+
+
+def _failure(spec: ConditionSpec, space: FiniteMetricSpace, s_map: SelfMap | None):
+    """The pair test of ``spec``: a function of (i, j, t, s) that gives None
+    when the pair passes and (value, required alpha) when it fails."""
+    alpha, gamma = spec.alpha, spec.gamma
+    if spec.kind in (ConditionKind.CLASSICAL_KANNAN, ConditionKind.KOPARDE_WAGHMODE):
+        return lambda i, j, t, s: (
+            None if t <= alpha * s else (alpha * s - t, _required_alpha(t, s))
+        )
+    if spec.kind is ConditionKind.MALCESKI:
+        dist = space.dist
+        s_of = range(space.n) if s_map is None else s_map.assignment
+
+        def fails(i, j, t, s):
+            rhs = alpha * s + gamma * dist[s_of[i]][s_of[j]]
+            return None if t <= rhs else (rhs - t, None)
+
+        return fails
+    ev = spec.sigma.eval
+    return lambda i, j, t, s: None if (value := ev(t, s)) > 0.0 else (value, None)
+
+
 def check_condition(
     space: FiniteMetricSpace,
     t_map: SelfMap,
@@ -124,81 +203,22 @@ def check_condition(
     classical forms ignore the auxiliary map.  The witness is the first
     failing pair in lexicographic index order.
     """
-    require_same_space(space, t_map, s_map)
-
-    kind = spec.kind
-    if s_map is None or kind in (
-        ConditionKind.CLASSICAL_KANNAN,
-        ConditionKind.SIGMA_KANNAN,
-        ConditionKind.KOPARDE_WAGHMODE,
-    ):
-        s_map = identity_map(space)
-
-    n = space.n
-    d = space.d
-    t_of = t_map.assignment
-    s_of = s_map.assignment
-    st_of = tuple(s_of[v] for v in t_of)
-    w = spec.w or 1
-
+    skip_tol = tol if mode is PairMode.POSITIVE_PAIRS else -math.inf
+    sweep = pairing(space, t_map, s_map, spec).sweep(skip_tol)
+    fails = _failure(spec, space, s_map)
     checked = 0
-    skipped = 0
     witness: PairWitness | None = None
-    holds = True
-
-    for i in range(n):
-        for j in range(n):
-            if kind is ConditionKind.CLASSICAL_KANNAN:
-                t = d(t_of[i], t_of[j])
-                s = d(t_of[i], i) + d(t_of[j], j)
-                value = spec.alpha * s - t
-                ok = t <= spec.alpha * s
-                req = _required_alpha(t, s)
-            elif kind is ConditionKind.SIGMA_KANNAN:
-                t = d(t_of[i], t_of[j])
-                s = d(t_of[i], i) + d(t_of[j], j)
-                value = spec.sigma.eval(t, s)
-                ok = value > 0.0
-                req = None
-            elif kind is ConditionKind.SIGMA_S_KANNAN:
-                t = d(t_of[i], t_of[j])
-                s = d(t_of[i], s_of[i]) + d(t_of[j], s_of[j])
-                value = spec.sigma.eval(t, s)
-                ok = value > 0.0
-                req = None
-            elif kind is ConditionKind.S_DOMINATED:
-                t = d(st_of[i], st_of[j]) ** w
-                s = d(s_of[i], st_of[i]) ** w + d(s_of[j], st_of[j]) ** w
-                value = spec.sigma.eval(t, s)
-                ok = value > 0.0
-                req = None
-            elif kind is ConditionKind.MALCESKI:
-                t = d(st_of[i], st_of[j])
-                bracket = d(s_of[i], st_of[i]) + d(s_of[j], st_of[j])
-                s = bracket
-                rhs = spec.alpha * bracket + spec.gamma * d(s_of[i], s_of[j])
-                value = rhs - t
-                ok = t <= rhs
-                req = None
-            elif kind is ConditionKind.KOPARDE_WAGHMODE:
-                t = d(t_of[i], t_of[j]) ** 2
-                s = d(i, t_of[i]) ** 2 + d(j, t_of[j]) ** 2
-                value = spec.alpha * s - t
-                ok = t <= spec.alpha * s
-                req = _required_alpha(t, s)
-            else:
-                raise ValueError(f"unhandled condition kind {kind}")
-
-            if mode is PairMode.POSITIVE_PAIRS and t <= tol:
-                skipped += 1
-                continue
-            checked += 1
-            if not ok and witness is None:
-                holds = False
-                witness = PairWitness(
-                    space.labels[i], space.labels[j], t, s, value, req
-                )
-    return ConditionReport(kind, holds, checked, skipped, witness)
+    for i, j, t, s in sweep:
+        checked += 1
+        failure = fails(i, j, t, s)
+        if failure is not None:
+            witness = PairWitness(space.labels[i], space.labels[j], t, s, *failure)
+            break
+    # The first witness decides the report; the rest of the sweep is counted.
+    checked += sum(1 for _ in sweep)
+    return ConditionReport(
+        spec.kind, witness is None, checked, space.n * space.n - checked, witness
+    )
 
 
 def _required_alpha(t: float, s: float) -> float:
@@ -222,23 +242,14 @@ def kannan_supremum(space: FiniteMetricSpace, t_map: SelfMap) -> KannanSupremum:
     denominator makes the supremum unbounded; with no image-separated pair
     at all the supremum of the empty set is reported as 0.
     """
-    require_same_space(space, t_map)
-    d = space.d
-    t_of = t_map.assignment
     best = 0.0
     best_pair: tuple[str, str] | None = None
-    for i in range(space.n):
-        for j in range(space.n):
-            t = d(t_of[i], t_of[j])
-            if not t > 0.0:
-                continue
-            s = d(t_of[i], i) + d(t_of[j], j)
-            if s == 0.0:
-                return KannanSupremum(
-                    math.inf, True, (space.labels[i], space.labels[j])
-                )
-            ratio = t / s
-            if ratio > best:
-                best = ratio
-                best_pair = (space.labels[i], space.labels[j])
+    classical = ConditionSpec(ConditionKind.CLASSICAL_KANNAN)
+    for i, j, t, s in pairing(space, t_map, None, classical).sweep(0.0):
+        if s == 0.0:
+            return KannanSupremum(math.inf, True, (space.labels[i], space.labels[j]))
+        ratio = t / s
+        if ratio > best:
+            best = ratio
+            best_pair = (space.labels[i], space.labels[j])
     return KannanSupremum(best, False, best_pair)

@@ -246,7 +246,7 @@ def _parse_space_and_maps(raw: dict):
 
 def _parse_finite_space(section: dict) -> FiniteMetricSpace:
     if "dist" in section:
-        labels = section.get("labels") or section.get("points")
+        labels = _labels(section, "labels") or _labels(section, "points")
         if labels is None:
             raise ValidationError("space.labels", "required alongside a distance table")
         table = section["dist"]
@@ -258,7 +258,7 @@ def _parse_finite_space(section: dict) -> FiniteMetricSpace:
             for v in row:
                 _finite(v, "space.dist")
         try:
-            return build_finite_space([str(x) for x in labels], table)
+            return build_finite_space(labels, table)
         except MetricInvalid:
             raise
         except ValueError as e:
@@ -270,10 +270,21 @@ def _parse_finite_space(section: dict) -> FiniteMetricSpace:
     if not isinstance(points, list) or not points:
         raise ValidationError("space.points", "must be a non-empty list of numbers")
     values = [_finite(v, "space.points") for v in points]
+    labels = _labels(section, "labels")
     try:
-        return space_from_values(values, section.get("labels") or None)
+        return space_from_values(values, labels)
     except ValueError as e:
         raise ValidationError("space.points", str(e)) from None
+
+
+def _labels(section: dict, key: str) -> list[str] | None:
+    """Point labels from ``section[key]``; a missing or empty list gives None."""
+    value = section.get(key, [])
+    if not isinstance(value, list) or any(
+        isinstance(v, bool) or not isinstance(v, (str, int, float)) for v in value
+    ):
+        raise ValidationError(f"space.{key}", "must be a list of strings or numbers")
+    return [str(v) for v in value] or None
 
 
 def _parse_map(space: FiniteMetricSpace, entry, field: str) -> SelfMap:

@@ -775,6 +775,8 @@ def check_axiom(
     vacuously true under the adopted reading (the paired limits cannot then
     be ordered unless both are zero).
     """
+    if prefix_len < 1:
+        raise ValueError("prefix_len must be >= 1")
     certified = None
     if kind is AxiomKind.SIGMA2:
         if not c > 0:

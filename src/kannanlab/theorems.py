@@ -11,6 +11,7 @@ outcome with the same machinery as confirming ones.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -26,6 +27,7 @@ from .conditions import (
     kannan_supremum,
     koparde_waghmode,
     malceski,
+    pairing,
     s_dominated,
     sigma_kannan,
     sigma_s_kannan,
@@ -640,14 +642,13 @@ def _compute_ex_3_24() -> dict:
         for a in alphas
     )
     near_half = check_condition(space, t_map, None, classical_kannan(0.49))
-    sweep = check_condition(space, t_map, s_map, sigma_s_kannan(sc.sigma), sc.mode)
-    idx4, idx1 = space.index_of("4"), space.index_of("1")
-    t_of, s_of = t_map.assignment, s_map.assignment
-    spot_t = space.d(t_of[idx4], t_of[idx1])
-    spot_s = space.d(t_of[idx4], s_of[idx4]) + space.d(t_of[idx1], s_of[idx1])
-    oracle = brute_force_points(space, t_map, s_map)
-    result = solve(space, t_map, s_map)
+    sweep_spec = sigma_s_kannan(sc.sigma)
+    sweep = check_condition(space, t_map, s_map, sweep_spec, sc.mode)
+    spot_t, spot_s = pairing(space, t_map, s_map, sweep_spec).pair(
+        space.index_of("4"), space.index_of("1")
+    )
     theorem = run_theorem(sc)
+    observed = theorem.conclusion.observed
     return {
         "kannan_supremum": {
             "value": sup.value,
@@ -664,9 +665,9 @@ def _compute_ex_3_24() -> dict:
                 "value": sc.sigma.eval(spot_t, spot_s),
             },
         },
-        "coincidence_points": list(oracle.coincidence_points),
-        "solve": solve_summary(result),
-        "solve_in_oracle": result.point in oracle.coincidence_points,
+        "coincidence_points": observed["coincidence_points"],
+        "solve": observed["solve"],
+        "solve_in_oracle": observed["solve"]["point"] in observed["coincidence_points"],
         "theorem": {
             "all_hold": theorem.all_hold,
             "match": theorem.conclusion.match,
@@ -678,22 +679,13 @@ def _compute_ex_3_24() -> dict:
 def _compute_ex_3_26() -> dict:
     sc = builtin_scenario("ex-3.26")
     space, t_map = sc.space, sc.t_map
-    t_of = t_map.assignment
-
-    pair_table = []
-    for i in range(space.n):
-        for j in range(i + 1, space.n):
-            t = space.d(t_of[i], t_of[j])
-            s = space.d(t_of[i], i) + space.d(t_of[j], j)
-            pair_table.append(
-                {
-                    "pair": [space.labels[i], space.labels[j]],
-                    "t": t,
-                    "bound": 2.0 * s / 3.0,
-                }
-            )
-    sweep = check_condition(space, t_map, None, sigma_kannan(sc.sigma), sc.mode)
-    oracle = brute_force_points(space, t_map)
+    spec = sigma_kannan(sc.sigma)
+    pair_table = [
+        {"pair": [space.labels[i], space.labels[j]], "t": t, "bound": 2.0 * s / 3.0}
+        for i, j, t, s in pairing(space, t_map, None, spec).sweep(-math.inf)
+        if i < j
+    ]
+    sweep = check_condition(space, t_map, None, spec, sc.mode)
     trace = run_picard_pair(space, t_map, sc.s_map, "1")
     sigma1 = check_axiom(sc.sigma, AxiomKind.SIGMA1, seed=sc.seed)
     theorem = run_theorem(sc)
@@ -701,7 +693,7 @@ def _compute_ex_3_26() -> dict:
     return {
         "pair_table": pair_table,
         "condition": condition_summary(sweep),
-        "fixed_points": list(oracle.fixed_points),
+        "fixed_points": theorem.conclusion.observed["fixed_points"],
         "orbit": {
             "first_points": list(trace.point_labels()[:5]),
             "cycle_start": trace.cycle.start,
@@ -730,18 +722,16 @@ def _compute_ex_3_34() -> dict:
     sc = builtin_scenario("ex-3.34")
     space, t_map, s_map = sc.space, sc.t_map, sc.s_map
 
-    sweep = check_condition(space, t_map, s_map, s_dominated(sc.sigma, 1), sc.mode)
-    i4, i5 = space.index_of("1/4"), space.index_of("1/5")
-    t_of, s_of = t_map.assignment, s_map.assignment
-    st = lambda i: s_of[t_of[i]]
-    spot_t = space.d(st(i4), st(i5))
-    spot_s = space.d(s_of[i4], st(i4)) + space.d(s_of[i5], st(i5))
+    spec = s_dominated(sc.sigma, 1)
+    sweep = check_condition(space, t_map, s_map, spec, sc.mode)
+    spot_t, spot_s = pairing(space, t_map, s_map, spec).pair(
+        space.index_of("1/4"), space.index_of("1/5")
+    )
     classical = check_condition(space, t_map, None, classical_kannan(0.49))
 
     ident = identity_map(space)
     trace = run_picard_pair(space, t_map, ident, "1/4", max_iter=sc.max_iter, tol=sc.tol)
     diag = diagnose(trace, space, t_map, ident, tol=sc.tol)
-    oracle = brute_force_points(space, t_map)
     theorem = run_theorem(sc)
     coincidence_at = (
         space.labels[trace.points[trace.coincidence_index]]
@@ -758,7 +748,7 @@ def _compute_ex_3_34() -> dict:
             "coincidence_point": coincidence_at,
             "first_steps": list(trace.step_distances[:5]),
         },
-        "fixed_points": list(oracle.fixed_points),
+        "fixed_points": theorem.conclusion.observed["fixed_points"],
         "theorem": {
             "all_hold": theorem.all_hold,
             "s_injective": theorem.status_of("s-injective").value,
@@ -771,13 +761,13 @@ def _compute_ex_3_35() -> dict:
     sc = builtin_scenario("ex-3.35")
     space, t_map, s_map = sc.space, sc.t_map, sc.s_map
     sweep = check_condition(space, t_map, s_map, s_dominated(sc.sigma, 1), sc.mode)
-    oracle = brute_force_points(space, t_map, s_map)
     theorem = run_theorem(sc)
+    observed = theorem.conclusion.observed
     return {
         "s_dominated": condition_summary(sweep),
         "s_injective": s_map.is_injective,
-        "fixed_points": list(oracle.fixed_points),
-        "coincidence_points": list(oracle.coincidence_points),
+        "fixed_points": observed["fixed_points"],
+        "coincidence_points": observed["coincidence_points"],
         "theorem": {
             "all_hold": theorem.all_hold,
             "match": theorem.conclusion.match,
@@ -790,16 +780,16 @@ def _compute_koparde() -> dict:
     sc = builtin_scenario("koparde-demo")
     space, t_map = sc.space, sc.t_map
     sweep = check_condition(space, t_map, None, koparde_waghmode(0.3), sc.mode)
-    oracle = brute_force_points(space, t_map)
-    result = solve(space, t_map, identity_map(space), x0=sc.x0, tol=sc.tol)
     theorem = run_theorem(sc)
+    observed = theorem.conclusion.observed
+    iterations = observed["solve"]["iterations"]
     return {
         "condition": condition_summary(sweep),
-        "fixed_points": list(oracle.fixed_points),
+        "fixed_points": observed["fixed_points"],
         "picard": {
-            "point": result.point,
-            "iterations": result.iterations,
-            "within_15": result.iterations is not None and result.iterations <= 15,
+            "point": observed["solve"]["point"],
+            "iterations": iterations,
+            "within_15": iterations is not None and iterations <= 15,
         },
         "theorem": {"all_hold": theorem.all_hold, "match": theorem.conclusion.match},
     }
@@ -810,13 +800,12 @@ def _compute_patel_deheri() -> dict:
     space, t_map, s_map = sc.space, sc.t_map, sc.s_map
     sweep = check_condition(space, t_map, s_map, malceski(1.0 / 3.0, 0.0), sc.mode)
     strict = check_condition(space, t_map, s_map, s_dominated(sc.sigma, 1), sc.mode)
-    oracle = brute_force_points(space, t_map)
     theorem = run_theorem(sc)
     return {
         "condition": condition_summary(sweep),
         "strict_condition": condition_summary(strict),
         "s_injective": s_map.is_injective,
-        "fixed_points": list(oracle.fixed_points),
+        "fixed_points": theorem.conclusion.observed["fixed_points"],
         "theorem": {
             "all_hold": theorem.all_hold,
             "match": theorem.conclusion.match,

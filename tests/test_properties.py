@@ -1,23 +1,41 @@
 """Property-based checks of the comparison-function algebra and the engine."""
 
+import math
 import random
 
 from hypothesis import given, settings, strategies as st
 
 from kannanlab import (
     AxiomKind,
+    ConditionKind,
+    ConditionReport,
+    KannanSupremum,
     Outcome,
+    PairMode,
+    PairWitness,
+    SelfMap,
     brute_force_points,
+    build_finite_space,
     check_axiom,
+    check_condition,
+    classical_kannan,
     classify,
     diagnose,
     find_clr_base,
     gallery,
+    identity_map,
+    kannan_supremum,
+    koparde_waghmode,
+    malceski,
     random_condition_pair,
     random_space,
     replay_witness,
     run_picard_pair,
+    s_dominated,
+    sigma_kannan,
+    sigma_s_kannan,
     solve,
+    space_from_values,
 )
 from kannanlab.sigma import make_witness
 
@@ -153,3 +171,141 @@ def test_classification_matrix_is_deterministic_per_seed():
     first = classify(fn, (1.0, 2.0), seed=5)
     second = classify(fn, (1.0, 2.0), seed=5)
     assert first == second
+
+
+def _reference_sweep(space, t_map, s_map, spec, mode, tol=1e-9):
+    """Each condition's pair test written out per kind, evaluated on every
+    ordered pair, with the skip decided after evaluation."""
+    kind = spec.kind
+    if s_map is None or kind in (
+        ConditionKind.CLASSICAL_KANNAN,
+        ConditionKind.SIGMA_KANNAN,
+        ConditionKind.KOPARDE_WAGHMODE,
+    ):
+        s_map = identity_map(space)
+    d = space.d
+    t_of = t_map.assignment
+    s_of = s_map.assignment
+    st_of = tuple(s_of[v] for v in t_of)
+    w = spec.w or 1
+    checked = skipped = 0
+    witness = None
+    for i in range(space.n):
+        for j in range(space.n):
+            req = None
+            if kind is ConditionKind.CLASSICAL_KANNAN:
+                t = d(t_of[i], t_of[j])
+                s = d(t_of[i], i) + d(t_of[j], j)
+                value = spec.alpha * s - t
+                ok = t <= spec.alpha * s
+                req = t / s if s > 0.0 else (math.inf if t > 0.0 else 0.0)
+            elif kind is ConditionKind.SIGMA_KANNAN:
+                t = d(t_of[i], t_of[j])
+                s = d(t_of[i], i) + d(t_of[j], j)
+                value = spec.sigma.eval(t, s)
+                ok = value > 0.0
+            elif kind is ConditionKind.SIGMA_S_KANNAN:
+                t = d(t_of[i], t_of[j])
+                s = d(t_of[i], s_of[i]) + d(t_of[j], s_of[j])
+                value = spec.sigma.eval(t, s)
+                ok = value > 0.0
+            elif kind is ConditionKind.S_DOMINATED:
+                t = d(st_of[i], st_of[j]) ** w
+                s = d(s_of[i], st_of[i]) ** w + d(s_of[j], st_of[j]) ** w
+                value = spec.sigma.eval(t, s)
+                ok = value > 0.0
+            elif kind is ConditionKind.MALCESKI:
+                t = d(st_of[i], st_of[j])
+                s = d(s_of[i], st_of[i]) + d(s_of[j], st_of[j])
+                rhs = spec.alpha * s + spec.gamma * d(s_of[i], s_of[j])
+                value = rhs - t
+                ok = t <= rhs
+            else:
+                t = d(t_of[i], t_of[j]) ** 2
+                s = d(i, t_of[i]) ** 2 + d(j, t_of[j]) ** 2
+                value = spec.alpha * s - t
+                ok = t <= spec.alpha * s
+                req = t / s if s > 0.0 else (math.inf if t > 0.0 else 0.0)
+            if mode is PairMode.POSITIVE_PAIRS and t <= tol:
+                skipped += 1
+                continue
+            checked += 1
+            if not ok and witness is None:
+                witness = PairWitness(space.labels[i], space.labels[j], t, s, value, req)
+    return ConditionReport(kind, witness is None, checked, skipped, witness)
+
+
+def _reference_supremum(space, t_map):
+    best, best_pair = 0.0, None
+    t_of = t_map.assignment
+    for i in range(space.n):
+        for j in range(space.n):
+            t = space.d(t_of[i], t_of[j])
+            if t > 0.0:
+                s = space.d(t_of[i], i) + space.d(t_of[j], j)
+                if s == 0.0:
+                    return KannanSupremum(math.inf, True, (space.labels[i], space.labels[j]))
+                if t / s > best:
+                    best, best_pair = t / s, (space.labels[i], space.labels[j])
+    return KannanSupremum(best, False, best_pair)
+
+
+SWEEP_SIGMAS = (
+    gallery("gamma"),
+    gallery("beta"),
+    gallery("step-g"),
+    gallery("step-omega"),
+    gallery("chi", alpha=0.4),
+    gallery("theta-pi", alpha=0.3),
+    gallery("theta-geraghty", alpha=0.5),
+    gallery("theta-l", alpha=0.3),
+    gallery("tau"),
+    gallery("psi-phi"),
+    gallery("linear", slope=0.8),
+)
+
+
+def _sweep_space(shape, n, seed):
+    if shape == "sub-tolerance":
+        return space_from_values([0.0, 5e-10, 1.0])
+    space = random_space(n, random.Random(seed))
+    if shape == "random":
+        return space
+    # Symmetric only within tolerance, so the argument order of each
+    # distance shows in the last bits.
+    table = [
+        [v * (1.0 + 1e-12) if i < j else v for j, v in enumerate(row)]
+        for i, row in enumerate(space.dist)
+    ]
+    return build_finite_space(space.labels, table)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    n=st.integers(1, 8),
+    shape=st.sampled_from(["random", "asymmetric", "sub-tolerance"]),
+    data=st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_condition_sweeps_match_the_per_pair_restatement(seed, n, shape, data):
+    space = _sweep_space(shape, n, seed)
+    n = space.n
+    point = st.integers(0, n - 1)
+    t_map = SelfMap(space, tuple(data.draw(st.lists(point, min_size=n, max_size=n), label="T")))
+    s_map = SelfMap(space, tuple(data.draw(st.lists(point, min_size=n, max_size=n), label="S")))
+    sigma = data.draw(st.sampled_from(SWEEP_SIGMAS), label="sigma")
+    alpha = data.draw(st.sampled_from([0.05, 0.2, 0.3]), label="alpha")
+    specs = (
+        classical_kannan(alpha),
+        sigma_kannan(sigma),
+        sigma_s_kannan(sigma),
+        s_dominated(sigma, data.draw(st.integers(1, 3), label="w")),
+        malceski(alpha, data.draw(st.sampled_from([0.0, 0.2, 0.3]), label="gamma")),
+        koparde_waghmode(alpha),
+    )
+    for spec in specs:
+        for mode in PairMode:
+            for s in (s_map, None):
+                expected = _reference_sweep(space, t_map, s, spec, mode)
+                assert check_condition(space, t_map, s, spec, mode) == expected, (spec, mode)
+    assert kannan_supremum(space, t_map) == _reference_supremum(space, t_map)

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -48,7 +50,7 @@ def test_minimal_single_point_scenario():
     assert doc.scenario.t_map.is_identity
 
 
-def test_abs_diff_points_labels_and_errors():
+def test_abs_diff_points_labels_and_errors(tmp_path, capsys):
     def space(**section):
         doc = parse_scenario_dict(
             {"space": {"type": "finite", **section}, "maps": {"T": "identity"}}
@@ -62,6 +64,28 @@ def test_abs_diff_points_labels_and_errors():
         with pytest.raises(ValidationError) as err:
             space(**bad)
         assert err.value.field == "space.points"
+
+    table = [[0, 1], [1, 0]]
+    assert space(dist=table, labels=[1, "b"]).labels == ("1", "b")
+    for field, bad in (
+        ("space.labels", {"points": [1, 2], "labels": 5}),
+        ("space.labels", {"points": [1, 2], "labels": "ab"}),
+        ("space.labels", {"points": [1, 2], "labels": [True, False]}),
+        ("space.labels", {"dist": table, "labels": 7}),
+        ("space.labels", {"dist": table, "labels": [["a"], "b"]}),
+        ("space.points", {"dist": table, "points": 7}),
+    ):
+        with pytest.raises(ValidationError) as err:
+            space(**bad)
+        assert err.value.field == field
+
+    path = write(
+        tmp_path,
+        "labels.json",
+        {"space": {"type": "finite", "points": [1, 2], "labels": 5}, "maps": {"T": "identity"}},
+    )
+    assert main(["validate", path]) == 3
+    assert "space.labels" in json.loads(capsys.readouterr().out)["error"]
 
 
 def test_unknown_keys_and_bad_numbers_rejected():
@@ -313,3 +337,38 @@ def test_cli_solve_budget_exhausted_is_undetermined(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert code == 2
     assert out["result"]["kind"] == "budget-exhausted"
+
+
+def test_schema_accepts_what_the_parser_accepts():
+    jsonschema = pytest.importorskip("jsonschema")
+    root = Path(__file__).resolve().parents[1]
+    schema = json.loads((root / "docs" / "scenario.schema.json").read_text())
+    jsonschema.Draft202012Validator.check_schema(schema)
+    validator = jsonschema.Draft202012Validator(schema)
+
+    readme = (root / "README.md").read_text()
+    accepted = [json.loads(block) for block in re.findall(r"```json\n(.*?)```", readme, re.S)]
+    assert accepted, "README has no scenario example"
+    accepted += [
+        {"space": {"type": "finite", "points": [0, 1.5, 4]}, "maps": {"T": [1, 1, 0]}},
+        {
+            "space": {"type": "finite", "labels": ["a", 2], "dist": [[0, 2], [2, 0]]},
+            "maps": {"T": {"a": "2", "2": "2"}, "S": {"constant": "a"}},
+            "mode": "all",
+        },
+        {
+            "space": {"type": "harmonic-truncation", "n_max": 6},
+            "sigma": {"name": "chi", "alpha": 0.3},
+            "check": {"condition": "s-dominated", "w": 2},
+            "theorem": {"id": "T3.29", "w": 2},
+        },
+        {"space": {"type": "builtin", "name": "koparde-demo"}, "solve": {"x0": "1.00"}},
+    ]
+    for doc in accepted:
+        parse_scenario_dict(doc)
+        assert validator.is_valid(doc), doc
+
+    rejected = {"space": {"type": "finite", "points": [1, 2], "labels": 5}, "maps": {"T": "identity"}}
+    with pytest.raises(ValidationError):
+        parse_scenario_dict(rejected)
+    assert not validator.is_valid(rejected)

@@ -160,6 +160,11 @@ def test_undetermined_on_true_but_uncertified_axiom():
     assert verdict.budget_used > 0
 
 
+def test_check_axiom_rejects_an_empty_prefix():
+    with pytest.raises(ValueError, match="prefix_len"):
+        check_axiom(gallery("theta-l", alpha=0.3), AxiomKind.ZETA3, prefix_len=0)
+
+
 def test_budget_exhaustion_is_an_outcome_not_an_error():
     verdict = check_axiom(gallery("gamma"), AxiomKind.RHO2, budget=5)
     assert verdict.outcome is Outcome.UNDETERMINED
