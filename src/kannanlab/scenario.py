@@ -97,12 +97,22 @@ class ScenarioDoc:
 def parse_scenario(path) -> ScenarioDoc:
     text = Path(path).read_text()
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as e:
         raise ParseError(f"line {e.lineno} column {e.colno}: {e.msg}") from None
     if not isinstance(raw, dict):
         raise ValidationError("$", "scenario document must be a JSON object")
     return parse_scenario_dict(raw)
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """Build a JSON object, refusing a key that appears twice in it."""
+    out: dict = {}
+    for key, value in pairs:
+        if key in out:
+            raise ParseError(f"duplicate key {key!r}")
+        out[key] = value
+    return out
 
 
 def parse_scenario_dict(raw: dict) -> ScenarioDoc:

@@ -17,9 +17,11 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from importlib import resources
+from typing import Callable
 
 from . import builtins as catalog
 from .conditions import (
+    ConditionReport,
     ConditionSpec,
     PairMode,
     check_condition,
@@ -44,6 +46,7 @@ from .picard import (
     LOWEST_INDEX,
     NoClrBase,
     SolveKind,
+    SolveResult,
     brute_force_points,
     diagnose,
     find_clr_base,
@@ -52,8 +55,6 @@ from .picard import (
 )
 from .report import condition_summary, round_floats, solve_summary, witness_summary
 from .sigma import AxiomKind, ComparisonFn, Outcome, check_axiom, classify, gallery
-
-THEOREM_IDS = ("T2.1", "T2.2", "T3.17", "T3.18", "T3.29", "T3.33", "C3.19", "C3.31", "C3.32")
 
 NUMERIC_MATCH_TOL = 1e-12
 
@@ -136,6 +137,9 @@ class HypothesisReport:
 # Hypothesis builders
 # --------------------------------------------------------------------------
 
+#: A checklist entry: evaluates one hypothesis of the run's statement.
+_Builder = Callable[["_Run"], Hypothesis]
+
 
 def _scenario_sigma(sc: Scenario) -> ComparisonFn:
     if sc.sigma is None:
@@ -160,22 +164,37 @@ def _scenario_w(sc: Scenario) -> int:
     return sc.w
 
 
-def _trivial(name: str, why: str) -> Hypothesis:
-    return Hypothesis(name, HypothesisStatus.HOLDS, why)
+def _trivial(name: str, why: str) -> _Builder:
+    hypothesis = Hypothesis(name, HypothesisStatus.HOLDS, why)
+    return lambda run: hypothesis
 
 
-def _condition_hypothesis(sc: Scenario, name: str, spec: ConditionSpec) -> Hypothesis:
-    report = check_condition(sc.space, sc.t_map, sc.s_map, spec, sc.mode, sc.tol)
-    if report.holds:
-        evidence = f"holds on {report.pairs_checked} pairs ({report.pairs_skipped} skipped)"
-        return Hypothesis(name, HypothesisStatus.HOLDS, evidence)
-    w = report.witness
-    evidence = f"fails at ({w.x}, {w.y}): t={w.t:.12g}, s={w.s:.12g}, value={w.value:.12g}"
-    return Hypothesis(name, HypothesisStatus.FAILS, evidence)
+def _sweep(
+    name: str | Callable[[Scenario], str], spec: Callable[[Scenario], ConditionSpec]
+) -> _Builder:
+    """A condition sweep, kept in the run under its hypothesis name.
+
+    A name that depends on the scenario is built before the spec, so a
+    missing field is reported in reading order.
+    """
+
+    def build(run: _Run) -> Hypothesis:
+        sc = run.sc
+        label = name if isinstance(name, str) else name(sc)
+        report = check_condition(sc.space, sc.t_map, sc.s_map, spec(sc), sc.mode, sc.tol)
+        run.sweeps[label] = report
+        if report.holds:
+            evidence = f"holds on {report.pairs_checked} pairs ({report.pairs_skipped} skipped)"
+            return Hypothesis(label, HypothesisStatus.HOLDS, evidence)
+        w = report.witness
+        evidence = f"fails at ({w.x}, {w.y}): t={w.t:.12g}, s={w.s:.12g}, value={w.value:.12g}"
+        return Hypothesis(label, HypothesisStatus.FAILS, evidence)
+
+    return build
 
 
-def _axiom_hypothesis(sc: Scenario, name: str, kind: AxiomKind, c: float | None = None) -> Hypothesis:
-    verdict = check_axiom(_scenario_sigma(sc), kind, c=c if c is not None else 1.0, seed=sc.seed)
+def _axiom_hypothesis(sc: Scenario, name: str, kind: AxiomKind, c: float = 1.0) -> Hypothesis:
+    verdict = check_axiom(_scenario_sigma(sc), kind, c=c, seed=sc.seed)
     status = {
         Outcome.CERTIFIED_HOLDS: HypothesisStatus.HOLDS,
         Outcome.FALSIFIED: HypothesisStatus.FAILS,
@@ -184,7 +203,8 @@ def _axiom_hypothesis(sc: Scenario, name: str, kind: AxiomKind, c: float | None 
     return Hypothesis(name, status, verdict.detail)
 
 
-def _regularity_side_hypothesis(sc: Scenario) -> Hypothesis:
+def _regularity_side_hypothesis(run: _Run) -> Hypothesis:
+    sc = run.sc
     sigma = _scenario_sigma(sc)
     ub = check_axiom(sigma, AxiomKind.UPPER_BOUND, seed=sc.seed)
     dollar = check_axiom(sigma, AxiomKind.DOLLAR, seed=sc.seed)
@@ -197,237 +217,250 @@ def _regularity_side_hypothesis(sc: Scenario) -> Hypothesis:
     return Hypothesis("upper-bound-or-dollar", HypothesisStatus.UNDETERMINED, "neither branch decided")
 
 
-def _clr_hypothesis(sc: Scenario) -> Hypothesis:
+#: Membership of the scenario's function in the sigma_c class, plus the
+#: upper-bound-or-dollar side condition.
+_SIGMA_CLASS: tuple[_Builder, ...] = (
+    lambda run: _axiom_hypothesis(run.sc, "sigma1", AxiomKind.SIGMA1),
+    lambda run: _axiom_hypothesis(run.sc, f"sigma2(c={run.sc.c:g})", AxiomKind.SIGMA2, run.sc.c),
+    _regularity_side_hypothesis,
+)
+
+
+def _clr_hypothesis(run: _Run) -> Hypothesis:
+    sc = run.sc
     base = find_clr_base(sc.space, sc.t_map, sc.s_map)
     if base is None:
         return Hypothesis("clr-property", HypothesisStatus.FAILS, "no chain-admitting base point")
     return Hypothesis("clr-property", HypothesisStatus.HOLDS, f"chain exists from {base}")
 
 
-def _injective_hypothesis(sc: Scenario) -> Hypothesis:
-    s = sc.s_map
-    if s.is_injective:
-        return Hypothesis("s-injective", HypothesisStatus.HOLDS, f"injective on {sc.space.n} points")
+def _injective_hypothesis(run: _Run) -> Hypothesis:
+    sc = run.sc
+    labels = sc.space.labels
     seen: dict[int, int] = {}
-    for i, v in enumerate(s.assignment):
+    for i, v in enumerate(sc.s_map.assignment):
         if v in seen:
-            a, b = sc.space.labels[seen[v]], sc.space.labels[i]
-            target = sc.space.labels[v]
-            return Hypothesis(
-                "s-injective", HypothesisStatus.FAILS, f"S({a}) = S({b}) = {target}"
-            )
+            evidence = f"S({labels[seen[v]]}) = S({labels[i]}) = {labels[v]}"
+            return Hypothesis("s-injective", HypothesisStatus.FAILS, evidence)
         seen[v] = i
-    raise AssertionError("unreachable")
+    return Hypothesis("s-injective", HypothesisStatus.HOLDS, f"injective on {sc.space.n} points")
 
 
-class _OrbitLimits:
-    """The orbit limit sets of one scenario, each computed on first use."""
-
-    def __init__(self, sc: Scenario):
-        self.sc = sc
-
-    @cached_property
-    def plain(self) -> tuple[tuple[str, ...], object]:
-        """Subsequential limits of the iterate sequence on a finite space.
-
-        The orbit is eventually periodic, so the limit set is the cycle (or the
-        single coincidence point when the orbit stabilizes).
-        """
-        sc = self.sc
-        ident = identity_map(sc.space)
-        base = sc.x0 if sc.x0 is not None else sc.space.labels[0]
-        trace = run_picard_pair(
-            sc.space, sc.t_map, ident, base, policy=sc.policy, max_iter=sc.max_iter, tol=sc.tol
-        )
-        if trace.coincidence_index is not None:
-            idx = trace.points[trace.coincidence_index]
-            return (sc.space.labels[idx],), trace
-        return trace.cycle_labels(), trace
-
-    @cached_property
-    def pair_chain_t(self) -> tuple[tuple[str, ...], object]:
-        """Subsequential limits of the T-images along a chain of the pair."""
-        sc = self.sc
-        base = sc.x0 if sc.x0 is not None else find_clr_base(sc.space, sc.t_map, sc.s_map)
-        if base is None:
-            return (), None
-        trace = run_picard_pair(
-            sc.space, sc.t_map, sc.s_map, base, policy=sc.policy, max_iter=sc.max_iter, tol=sc.tol
-        )
-        if trace.coincidence_index is not None:
-            idx = trace.points[trace.coincidence_index]
-            return (sc.space.labels[sc.t_map.assignment[idx]],), trace
-        if trace.cycle is not None:
-            stop = trace.cycle.start + trace.cycle.period
-            return (
-                tuple(
-                    sc.space.labels[sc.t_map.assignment[i]]
-                    for i in trace.points[trace.cycle.start : stop]
-                ),
-                trace,
-            )
-        return (), trace
-
-
-def _designated_point(sc: Scenario, limits: tuple[str, ...]) -> str | None:
-    if sc.q is not None:
-        return sc.q
-    return limits[0] if limits else None
-
-
-def check_hypotheses(sc: Scenario) -> HypothesisReport:
-    """Evaluate the hypothesis checklist of the scenario's theorem."""
-    return _checklist(sc, _OrbitLimits(sc))
-
-
-def _checklist(sc: Scenario, orbits: _OrbitLimits) -> HypothesisReport:
-    if sc.theorem not in THEOREM_IDS:
-        raise MalformedScenario(f"unknown theorem id {sc.theorem!r}")
-    tid = sc.theorem
-    complete = _trivial("space-complete", "finite spaces are complete")
-    image_complete = _trivial("s-image-complete", "finite subsets are complete")
-    continuous = "every self-map of a finite space is continuous"
-
-    if tid == "T2.1":
-        hyps = [
-            complete,
-            _condition_hypothesis(
-                sc, "classical-kannan-condition", classical_kannan(_scenario_alpha(sc))
-            ),
-        ]
-    elif tid == "T2.2":
-        hyps = [
-            _condition_hypothesis(
-                sc, "classical-kannan-condition", classical_kannan(_scenario_alpha(sc))
-            ),
-            _trivial("continuity-at-limit", continuous),
-            _subsequence_hypothesis(sc, orbits, plain=True),
-        ]
-    elif tid == "T3.17":
-        hyps = [
-            _clr_hypothesis(sc),
-            _condition_hypothesis(
-                sc, "sigma-s-kannan-condition", sigma_s_kannan(_scenario_sigma(sc))
-            ),
-            *_sigma_class_hypotheses(sc),
-            _trivial("continuity-at-designated", continuous),
-            _subsequence_hypothesis(sc, orbits, plain=False),
-        ]
-    elif tid == "T3.18":
-        hyps = [
-            _clr_hypothesis(sc),
-            image_complete,
-            _condition_hypothesis(
-                sc, "sigma-s-kannan-condition", sigma_s_kannan(_scenario_sigma(sc))
-            ),
-            *_sigma_class_hypotheses(sc),
-        ]
-    elif tid == "T3.29":
-        hyps = [
-            image_complete,
-            _injective_hypothesis(sc),
-            _condition_hypothesis(
-                sc,
-                f"s-dominated-condition(w={_scenario_w(sc)})",
-                s_dominated(_scenario_sigma(sc), _scenario_w(sc)),
-            ),
-            *_sigma_class_hypotheses(sc),
-        ]
-    elif tid == "T3.33":
-        hyps = [
-            _condition_hypothesis(
-                sc, "s-dominated-condition(w=1)", s_dominated(_scenario_sigma(sc), 1)
-            ),
-            _regularity_side_hypothesis(sc),
-            _subsequence_hypothesis(sc, orbits, plain=True),
-            _trivial("continuity-at-designated", continuous),
-            _injective_hypothesis(sc),
-        ]
-    elif tid == "C3.19":
-        hyps = [
-            complete,
-            _condition_hypothesis(sc, "sigma-kannan-condition", sigma_kannan(_scenario_sigma(sc))),
-            *_sigma_class_hypotheses(sc),
-        ]
-    elif tid == "C3.31":
-        hyps = [
-            complete,
-            _condition_hypothesis(
-                sc, "squared-kannan-condition", koparde_waghmode(_scenario_alpha(sc))
-            ),
-        ]
-    else:  # C3.32
-        hyps = [
-            complete,
-            _condition_hypothesis(
-                sc, "dominated-sum-condition", malceski(_scenario_alpha(sc), 0.0)
-            ),
-            _injective_hypothesis(sc),
-            _trivial("s-continuous", continuous),
-            _trivial(
-                "s-sequentially-convergent",
-                "finite spaces have no non-trivial convergence to break",
-            ),
-        ]
-    return HypothesisReport(tid, tuple(hyps))
-
-
-def _sigma_class_hypotheses(sc: Scenario) -> list[Hypothesis]:
-    """Membership of the scenario's function in the sigma_c class, plus the
-    upper-bound-or-dollar side condition."""
-    return [
-        _axiom_hypothesis(sc, "sigma1", AxiomKind.SIGMA1),
-        _axiom_hypothesis(sc, f"sigma2(c={sc.c:g})", AxiomKind.SIGMA2, sc.c),
-        _regularity_side_hypothesis(sc),
-    ]
-
-
-def _subsequence_hypothesis(sc: Scenario, orbits: _OrbitLimits, plain: bool) -> Hypothesis:
-    if plain:
-        limits, _ = orbits.plain
-        target = _designated_point(sc, limits)
-        name = "iterate-subsequence-converges"
-        if target is None:
-            return Hypothesis(name, HypothesisStatus.FAILS, "orbit has no limit points")
-        if target in limits:
-            return Hypothesis(name, HypothesisStatus.HOLDS, f"subsequence settles at {target}")
-        return Hypothesis(
-            name, HypothesisStatus.FAILS, f"{target} is not among limit points {list(limits)}"
-        )
-    limits, _ = orbits.pair_chain_t
-    name = "t-images-subsequence-converges"
-    if sc.q is not None:
-        target = sc.s_map(sc.q)
-        if target in limits:
-            return Hypothesis(name, HypothesisStatus.HOLDS, f"T-images settle at S({sc.q}) = {target}")
-        return Hypothesis(
-            name,
-            HypothesisStatus.FAILS,
-            f"S({sc.q}) = {target} is not among limit points {list(limits)}",
-        )
-    for label in sc.space.labels:
-        if sc.s_map(label) in limits:
-            return Hypothesis(
-                name, HypothesisStatus.HOLDS, f"T-images settle at S({label}) = {sc.s_map(label)}"
-            )
-    return Hypothesis(name, HypothesisStatus.FAILS, "no point maps into the limit set")
+def _subsequence_hypothesis(run: _Run) -> Hypothesis:
+    limits = run.limits
+    source, target = run.designated
+    if run.contract.pair_chain:
+        name, settles = "t-images-subsequence-converges", "T-images settle at"
+        shown, no_target = f"S({source}) = {target}", "no point maps into the limit set"
+    else:
+        name, settles = "iterate-subsequence-converges", "subsequence settles at"
+        shown, no_target = target, "orbit has no limit points"
+    if target is None:
+        return Hypothesis(name, HypothesisStatus.FAILS, no_target)
+    if target in limits:
+        return Hypothesis(name, HypothesisStatus.HOLDS, f"{settles} {shown}")
+    evidence = f"{shown} is not among limit points {list(limits)}"
+    return Hypothesis(name, HypothesisStatus.FAILS, evidence)
 
 
 # --------------------------------------------------------------------------
 # Conclusions
 # --------------------------------------------------------------------------
 
-_EXPECTED = {
-    "T2.1": "unique-fixed-point",
-    "T2.2": "designated-point-fixed",
-    "T3.17": "coincidence-or-designated-fixed",
-    "T3.18": "coincidence-set-nonempty",
-    "T3.29": "unique-fixed-point",
-    "T3.33": "designated-point-fixed",
-    "C3.19": "unique-fixed-point",
-    "C3.31": "unique-fixed-point",
-    "C3.32": "unique-fixed-point",
+
+def _unique_fixed_point(run: _Run, observed: dict) -> bool:
+    result = run.solved
+    return (
+        result is not None
+        and result.kind is SolveKind.FIXED_POINT
+        and observed["fixed_points"] == [result.point]
+    )
+
+
+def _designated_point_fixed(run: _Run, observed: dict) -> bool:
+    _, target = run.designated
+    observed["designated"] = target
+    return (
+        target is not None
+        and run.sc.t_map(target) == target
+        and observed["fixed_points"] == [target]
+    )
+
+
+def _coincidence_set_nonempty(run: _Run, observed: dict) -> bool:
+    result = run.solved
+    return (
+        result is not None
+        and result.kind in (SolveKind.COINCIDENCE_POINT, SolveKind.FIXED_POINT)
+        and result.point in observed["coincidence_points"]
+    )
+
+
+def _coincidence_or_designated_fixed(run: _Run, observed: dict) -> bool:
+    sc = run.sc
+    _, target = run.designated
+    observed["designated"] = target
+    branch_a = bool(observed["coincidence_points"])
+    similar = s_fixes = t_fixes = False
+    if target is not None:
+        if run.solved is not None and len(run.solved.trace.points) >= 2:
+            diag = diagnose(run.solved.trace, sc.space, sc.t_map, sc.s_map, tol=sc.tol)
+            similar = diag.s_asymptotically_similar
+        s_fixes = sc.s_map(target) == target
+        t_fixes = sc.t_map(target) == target
+    observed.update(
+        coincidence_exists=branch_a, s_asymptotically_similar=similar, designated_fixed_by_t=t_fixes
+    )
+    # Branch (b): S asymptotically similar implies T fixes the target;
+    # branch (b*): S fixing the target implies T fixes it.
+    return branch_a or ((not similar or t_fixes) and (not s_fixes or t_fixes))
+
+
+@dataclass(frozen=True)
+class _Contract:
+    """A conclusion: its name, the chain it is read from, and its judge."""
+
+    expected: str
+    #: Read from a chain of the pair (T, S) rather than from the orbit of T.
+    pair_chain: bool
+    judge: Callable[[_Run, dict], bool]
+
+
+_UNIQUE_FIXED = _Contract("unique-fixed-point", False, _unique_fixed_point)
+_DESIGNATED_FIXED = _Contract("designated-point-fixed", False, _designated_point_fixed)
+_COINCIDENCE = _Contract("coincidence-set-nonempty", True, _coincidence_set_nonempty)
+_COINCIDENCE_OR_DESIGNATED = _Contract(
+    "coincidence-or-designated-fixed", True, _coincidence_or_designated_fixed
+)
+
+
+# --------------------------------------------------------------------------
+# The statements
+# --------------------------------------------------------------------------
+
+_CONTINUOUS = "every self-map of a finite space is continuous"
+_COMPLETE = _trivial("space-complete", "finite spaces are complete")
+_IMAGE_COMPLETE = _trivial("s-image-complete", "finite subsets are complete")
+_CONTINUOUS_AT_LIMIT = _trivial("continuity-at-limit", _CONTINUOUS)
+_CONTINUOUS_AT_DESIGNATED = _trivial("continuity-at-designated", _CONTINUOUS)
+_S_CONTINUOUS = _trivial("s-continuous", _CONTINUOUS)
+_S_CONVERGENT = _trivial(
+    "s-sequentially-convergent", "finite spaces have no non-trivial convergence to break"
+)
+_CLASSICAL = _sweep("classical-kannan-condition", lambda sc: classical_kannan(_scenario_alpha(sc)))
+_SIGMA_KANNAN = _sweep("sigma-kannan-condition", lambda sc: sigma_kannan(_scenario_sigma(sc)))
+_SIGMA_S_KANNAN = _sweep(
+    "sigma-s-kannan-condition", lambda sc: sigma_s_kannan(_scenario_sigma(sc))
+)
+_S_DOMINATED = _sweep(
+    lambda sc: f"s-dominated-condition(w={_scenario_w(sc)})",
+    lambda sc: s_dominated(_scenario_sigma(sc), _scenario_w(sc)),
+)
+_S_DOMINATED_1 = _sweep(
+    "s-dominated-condition(w=1)", lambda sc: s_dominated(_scenario_sigma(sc), 1)
+)
+_SQUARED = _sweep("squared-kannan-condition", lambda sc: koparde_waghmode(_scenario_alpha(sc)))
+_DOMINATED_SUM = _sweep("dominated-sum-condition", lambda sc: malceski(_scenario_alpha(sc), 0.0))
+
+#: Each statement's conclusion and its hypothesis checklist, in report order.
+_THEOREMS: dict[str, tuple[_Contract, tuple[_Builder, ...]]] = {
+    "T2.1": (_UNIQUE_FIXED, (_COMPLETE, _CLASSICAL)),
+    "T2.2": (_DESIGNATED_FIXED, (_CLASSICAL, _CONTINUOUS_AT_LIMIT, _subsequence_hypothesis)),
+    "T3.17": (
+        _COINCIDENCE_OR_DESIGNATED,
+        (_clr_hypothesis, _SIGMA_S_KANNAN, *_SIGMA_CLASS, _CONTINUOUS_AT_DESIGNATED,
+         _subsequence_hypothesis),
+    ),
+    "T3.18": (_COINCIDENCE, (_clr_hypothesis, _IMAGE_COMPLETE, _SIGMA_S_KANNAN, *_SIGMA_CLASS)),
+    "T3.29": (_UNIQUE_FIXED, (_IMAGE_COMPLETE, _injective_hypothesis, _S_DOMINATED, *_SIGMA_CLASS)),
+    "T3.33": (
+        _DESIGNATED_FIXED,
+        (_S_DOMINATED_1, _regularity_side_hypothesis, _subsequence_hypothesis,
+         _CONTINUOUS_AT_DESIGNATED, _injective_hypothesis),
+    ),
+    "C3.19": (_UNIQUE_FIXED, (_COMPLETE, _SIGMA_KANNAN, *_SIGMA_CLASS)),
+    "C3.31": (_UNIQUE_FIXED, (_COMPLETE, _SQUARED)),
+    "C3.32": (
+        _UNIQUE_FIXED,
+        (_COMPLETE, _DOMINATED_SUM, _injective_hypothesis, _S_CONTINUOUS, _S_CONVERGENT),
+    ),
 }
+THEOREM_IDS = tuple(_THEOREMS)
+
+
+class _Run:
+    """One evaluation of a scenario's statement.
+
+    The statement's chain is realised at most once, by one ``solve`` call on
+    first use, and both the hypotheses and the conclusion read its limit set
+    and designated target from here.  Condition sweeps are kept under their
+    hypothesis names.
+    """
+
+    def __init__(self, sc: Scenario):
+        if sc.theorem not in _THEOREMS:
+            raise MalformedScenario(f"unknown theorem id {sc.theorem!r}")
+        self.sc = sc
+        self.contract, self.checklist = _THEOREMS[sc.theorem]
+        self.sweeps: dict[str, ConditionReport] = {}
+
+    def hypotheses(self) -> HypothesisReport:
+        return HypothesisReport(self.sc.theorem, tuple(build(self) for build in self.checklist))
+
+    @cached_property
+    def solved(self) -> SolveResult | None:
+        """Solve along the statement's chain, or None when no point admits one."""
+        sc = self.sc
+        s_map = sc.s_map if self.contract.pair_chain else identity_map(sc.space)
+        try:
+            return solve(
+                sc.space, sc.t_map, s_map, sc.x0, policy=sc.policy, max_iter=sc.max_iter, tol=sc.tol
+            )
+        except NoClrBase:
+            return None
+
+    @cached_property
+    def limits(self) -> tuple[str, ...]:
+        """Subsequential limits along the chain.
+
+        A chain on a finite space is eventually periodic, so these are its
+        coincidence point or its cycle; along a chain of the pair, their
+        T-images.
+        """
+        trace = self.solved.trace if self.solved is not None else None
+        if trace is not None and trace.coincidence_index is not None:
+            span = slice(trace.coincidence_index, trace.coincidence_index + 1)
+        elif trace is not None and trace.cycle is not None:
+            span = slice(trace.cycle.start, trace.cycle.start + trace.cycle.period)
+        else:
+            return ()
+        points = trace.t_images if self.contract.pair_chain else trace.points
+        return tuple(self.sc.space.labels[i] for i in points[span])
+
+    @cached_property
+    def designated(self) -> tuple[str | None, str | None]:
+        """The designated point and the target it names, or (None, None).
+
+        On an orbit the target is q itself, by default the first limit; on a
+        chain of the pair it is S(q), by default S of the first point that S
+        maps into the limit set.
+        """
+        sc = self.sc
+        limits = self.limits
+        if not self.contract.pair_chain:
+            target = sc.q if sc.q is not None else next(iter(limits), None)
+            return target, target
+        if sc.q is not None:
+            return sc.q, sc.s_map(sc.q)
+        for label in sc.space.labels:
+            if sc.s_map(label) in limits:
+                return label, sc.s_map(label)
+        return None, None
+
+
+def check_hypotheses(sc: Scenario) -> HypothesisReport:
+    """Evaluate the hypothesis checklist of the scenario's theorem."""
+    return _Run(sc).hypotheses()
 
 
 def run_theorem(sc: Scenario) -> HypothesisReport:
@@ -437,94 +470,22 @@ def run_theorem(sc: Scenario) -> HypothesisReport:
     ``contradicted`` flags the only alarming combination (hypotheses all
     hold, conclusion fails).
     """
-    orbits = _OrbitLimits(sc)
-    report = _checklist(sc, orbits)
-    tid = sc.theorem
-    expected = _EXPECTED[tid]
+    return _run_theorem(sc)[0]
 
+
+def _run_theorem(sc: Scenario) -> tuple[HypothesisReport, _Run]:
+    """:func:`run_theorem` plus the run, whose sweeps and chain callers may read."""
+    run = _Run(sc)
+    report = run.hypotheses()
     oracle = brute_force_points(sc.space, sc.t_map, sc.s_map)
     observed: dict = {
         "fixed_points": list(oracle.fixed_points),
         "coincidence_points": list(oracle.coincidence_points),
+        "solve": {"error": "no-clr-base"} if run.solved is None else solve_summary(run.solved),
     }
-
-    # The coincidence statements run chains of the pair, the others plain orbits.
-    s_map = sc.s_map if tid in ("T3.17", "T3.18") else identity_map(sc.space)
-    try:
-        result = solve(
-            sc.space, sc.t_map, s_map, sc.x0, policy=sc.policy, max_iter=sc.max_iter, tol=sc.tol
-        )
-        observed["solve"] = solve_summary(result)
-    except NoClrBase:
-        result = None
-        observed["solve"] = {"error": "no-clr-base"}
-
-    if expected == "coincidence-set-nonempty":
-        match = (
-            bool(observed["coincidence_points"])
-            and result is not None
-            and result.kind in (SolveKind.COINCIDENCE_POINT, SolveKind.FIXED_POINT)
-            and result.point in observed["coincidence_points"]
-        )
-    elif expected == "unique-fixed-point":
-        fixed = observed["fixed_points"]
-        match = (
-            len(fixed) == 1
-            and result is not None
-            and result.kind is SolveKind.FIXED_POINT
-            and result.point == fixed[0]
-        )
-    elif expected == "designated-point-fixed":
-        limits, _ = orbits.plain
-        target = _designated_point(sc, limits)
-        observed["designated"] = target
-        match = (
-            target is not None
-            and sc.t_map(target) == target
-            and observed["fixed_points"] == [target]
-        )
-    else:  # coincidence-or-designated-fixed
-        limits, trace = orbits.pair_chain_t
-        target = None
-        if sc.q is not None:
-            target = sc.s_map(sc.q)
-        elif limits:
-            for label in sc.space.labels:
-                if sc.s_map(label) in limits:
-                    target = sc.s_map(label)
-                    break
-        observed["designated"] = target
-        branch_a = bool(observed["coincidence_points"])
-        if target is None:
-            similar = False
-            s_fixes = False
-            t_fixes = False
-        else:
-            if trace is not None and len(trace.points) >= 2:
-                diag = diagnose(trace, sc.space, sc.t_map, sc.s_map, tol=sc.tol)
-                similar = diag.s_asymptotically_similar
-            else:
-                similar = False
-            s_fixes = sc.s_map(target) == target
-            t_fixes = sc.t_map(target) == target
-        implication_b = (not similar) or t_fixes
-        implication_b_star = (not s_fixes) or t_fixes
-        observed.update(
-            {
-                "coincidence_exists": branch_a,
-                "s_asymptotically_similar": similar,
-                "designated_fixed_by_t": t_fixes,
-            }
-        )
-        match = branch_a or (implication_b and implication_b_star)
-
-    conclusion = Conclusion(
-        expected=expected,
-        observed=observed,
-        match=match,
-        contradicted=report.all_hold and not match,
-    )
-    return HypothesisReport(report.theorem, report.hypotheses, conclusion)
+    match = run.contract.judge(run, observed)
+    conclusion = Conclusion(run.contract.expected, observed, match, report.all_hold and not match)
+    return HypothesisReport(report.theorem, report.hypotheses, conclusion), run
 
 
 # --------------------------------------------------------------------------
@@ -642,12 +603,10 @@ def _compute_ex_3_24() -> dict:
         for a in alphas
     )
     near_half = check_condition(space, t_map, None, classical_kannan(0.49))
-    sweep_spec = sigma_s_kannan(sc.sigma)
-    sweep = check_condition(space, t_map, s_map, sweep_spec, sc.mode)
-    spot_t, spot_s = pairing(space, t_map, s_map, sweep_spec).pair(
+    spot_t, spot_s = pairing(space, t_map, s_map, sigma_s_kannan(sc.sigma)).pair(
         space.index_of("4"), space.index_of("1")
     )
-    theorem = run_theorem(sc)
+    theorem, run = _run_theorem(sc)
     observed = theorem.conclusion.observed
     return {
         "kannan_supremum": {
@@ -658,7 +617,7 @@ def _compute_ex_3_24() -> dict:
         "classical_alpha_sweep": {"alphas": alphas, "all_fail": all_fail},
         "classical_at_0.49": condition_summary(near_half),
         "sigma_s_kannan": {
-            **condition_summary(sweep),
+            **condition_summary(run.sweeps["sigma-s-kannan-condition"]),
             "sample_pair_4_1": {
                 "t": spot_t,
                 "s": spot_s,
@@ -686,9 +645,9 @@ def _compute_ex_3_26() -> dict:
         if i < j
     ]
     sweep = check_condition(space, t_map, None, spec, sc.mode)
-    trace = run_picard_pair(space, t_map, sc.s_map, "1")
     sigma1 = check_axiom(sc.sigma, AxiomKind.SIGMA1, seed=sc.seed)
-    theorem = run_theorem(sc)
+    theorem, run = _run_theorem(sc)
+    trace = run.solved.trace
     statuses = {h.name: h.status.value for h in theorem.hypotheses}
     return {
         "pair_table": pair_table,
@@ -722,9 +681,7 @@ def _compute_ex_3_34() -> dict:
     sc = builtin_scenario("ex-3.34")
     space, t_map, s_map = sc.space, sc.t_map, sc.s_map
 
-    spec = s_dominated(sc.sigma, 1)
-    sweep = check_condition(space, t_map, s_map, spec, sc.mode)
-    spot_t, spot_s = pairing(space, t_map, s_map, spec).pair(
+    spot_t, spot_s = pairing(space, t_map, s_map, s_dominated(sc.sigma, 1)).pair(
         space.index_of("1/4"), space.index_of("1/5")
     )
     classical = check_condition(space, t_map, None, classical_kannan(0.49))
@@ -732,7 +689,7 @@ def _compute_ex_3_34() -> dict:
     ident = identity_map(space)
     trace = run_picard_pair(space, t_map, ident, "1/4", max_iter=sc.max_iter, tol=sc.tol)
     diag = diagnose(trace, space, t_map, ident, tol=sc.tol)
-    theorem = run_theorem(sc)
+    theorem, run = _run_theorem(sc)
     coincidence_at = (
         space.labels[trace.points[trace.coincidence_index]]
         if trace.coincidence_index is not None
@@ -740,7 +697,7 @@ def _compute_ex_3_34() -> dict:
     )
     return {
         "n_points": space.n,
-        "s_dominated": condition_summary(sweep),
+        "s_dominated": condition_summary(run.sweeps["s-dominated-condition(w=1)"]),
         "spot_pair": {"x": "1/4", "y": "1/5", "t": spot_t, "s_over_3": spot_s / 3.0},
         "classical_at_0.49": condition_summary(classical),
         "picard": {
@@ -759,13 +716,11 @@ def _compute_ex_3_34() -> dict:
 
 def _compute_ex_3_35() -> dict:
     sc = builtin_scenario("ex-3.35")
-    space, t_map, s_map = sc.space, sc.t_map, sc.s_map
-    sweep = check_condition(space, t_map, s_map, s_dominated(sc.sigma, 1), sc.mode)
-    theorem = run_theorem(sc)
+    theorem, run = _run_theorem(sc)
     observed = theorem.conclusion.observed
     return {
-        "s_dominated": condition_summary(sweep),
-        "s_injective": s_map.is_injective,
+        "s_dominated": condition_summary(run.sweeps["s-dominated-condition(w=1)"]),
+        "s_injective": sc.s_map.is_injective,
         "fixed_points": observed["fixed_points"],
         "coincidence_points": observed["coincidence_points"],
         "theorem": {
@@ -778,13 +733,11 @@ def _compute_ex_3_35() -> dict:
 
 def _compute_koparde() -> dict:
     sc = builtin_scenario("koparde-demo")
-    space, t_map = sc.space, sc.t_map
-    sweep = check_condition(space, t_map, None, koparde_waghmode(0.3), sc.mode)
-    theorem = run_theorem(sc)
+    theorem, run = _run_theorem(sc)
     observed = theorem.conclusion.observed
     iterations = observed["solve"]["iterations"]
     return {
-        "condition": condition_summary(sweep),
+        "condition": condition_summary(run.sweeps["squared-kannan-condition"]),
         "fixed_points": observed["fixed_points"],
         "picard": {
             "point": observed["solve"]["point"],
@@ -798,11 +751,10 @@ def _compute_koparde() -> dict:
 def _compute_patel_deheri() -> dict:
     sc = builtin_scenario("patel-deheri-demo")
     space, t_map, s_map = sc.space, sc.t_map, sc.s_map
-    sweep = check_condition(space, t_map, s_map, malceski(1.0 / 3.0, 0.0), sc.mode)
     strict = check_condition(space, t_map, s_map, s_dominated(sc.sigma, 1), sc.mode)
-    theorem = run_theorem(sc)
+    theorem, run = _run_theorem(sc)
     return {
-        "condition": condition_summary(sweep),
+        "condition": condition_summary(run.sweeps["dominated-sum-condition"]),
         "strict_condition": condition_summary(strict),
         "s_injective": s_map.is_injective,
         "fixed_points": theorem.conclusion.observed["fixed_points"],

@@ -2,22 +2,30 @@
 
 import math
 import random
+from dataclasses import replace
+from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from kannanlab import (
     AxiomKind,
     ConditionKind,
     ConditionReport,
+    HypothesisStatus,
     KannanSupremum,
+    MalformedScenario,
+    NoClrBase,
     Outcome,
     PairMode,
     PairWitness,
+    Scenario,
     SelfMap,
     brute_force_points,
     build_finite_space,
     check_axiom,
     check_condition,
+    check_hypotheses,
     classical_kannan,
     classify,
     diagnose,
@@ -31,13 +39,17 @@ from kannanlab import (
     random_space,
     replay_witness,
     run_picard_pair,
+    run_theorem,
     s_dominated,
     sigma_kannan,
     sigma_s_kannan,
     solve,
     space_from_values,
 )
+from kannanlab import theorems
+from kannanlab.report import solve_summary
 from kannanlab.sigma import make_witness
+from kannanlab.theorems import THEOREM_IDS
 
 positive = st.floats(min_value=1e-6, max_value=100.0, allow_nan=False)
 
@@ -309,3 +321,97 @@ def test_condition_sweeps_match_the_per_pair_restatement(seed, n, shape, data):
                 expected = _reference_sweep(space, t_map, s, spec, mode)
                 assert check_condition(space, t_map, s, spec, mode) == expected, (spec, mode)
     assert kannan_supremum(space, t_map) == _reference_supremum(space, t_map)
+
+
+# Statements whose conclusion is read from a chain of the pair (T, S); the
+# others read the orbit of T alone.
+PAIR_CHAIN_THEOREMS = {"T3.17", "T3.18"}
+SUBSEQUENCE_HYPOTHESES = {
+    "T2.2": "iterate-subsequence-converges",
+    "T3.17": "t-images-subsequence-converges",
+    "T3.33": "iterate-subsequence-converges",
+}
+
+
+def _limit_set(space, t_map, trace, pair_chain):
+    """Points the chain returns to forever: its coincidence point, or every
+    point from the cycle's start on; on a chain of the pair, their T-images."""
+    if trace.coincidence_index is not None:
+        points = {trace.points[trace.coincidence_index]}
+    elif trace.cycle is not None:
+        points = set(trace.points[trace.cycle.start :])
+    else:
+        points = set()
+    if pair_chain:
+        points = {t_map.assignment[i] for i in points}
+    return {space.labels[i] for i in points}
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    n=st.integers(1, 7),
+    sub_tolerance=st.booleans(),
+    data=st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_theorem_runner_reads_one_chain(seed, n, sub_tolerance, data):
+    if sub_tolerance:
+        space = space_from_values([0.0, 5e-10, 1.0])
+    else:
+        space = random_space(n, random.Random(seed))
+    n = space.n
+    point = st.integers(0, n - 1)
+    label = st.none() | st.sampled_from(space.labels)
+    t_map = SelfMap(space, tuple(data.draw(st.lists(point, min_size=n, max_size=n), label="T")))
+    s_map = SelfMap(space, tuple(data.draw(st.lists(point, min_size=n, max_size=n), label="S")))
+    base = Scenario(
+        space=space,
+        t_map=t_map,
+        s_map=s_map,
+        sigma=data.draw(st.sampled_from([None, gallery("chi", alpha=0.3), gallery("gamma")])),
+        alpha=data.draw(st.sampled_from([None, 0.3])),
+        w=data.draw(st.sampled_from([None, 1, 2])),
+        mode=data.draw(st.sampled_from(list(PairMode))),
+        x0=data.draw(label, label="x0"),
+        q=data.draw(label, label="q"),
+        max_iter=data.draw(st.sampled_from([1, 2, 5, 10_000]), label="max_iter"),
+    )
+    for tid in THEOREM_IDS:
+        sc = replace(base, theorem=tid)
+        try:
+            expected = check_hypotheses(sc)
+        except MalformedScenario as e:
+            with pytest.raises(MalformedScenario) as again:
+                run_theorem(sc)
+            assert str(again.value) == str(e)
+            continue
+        # One solve call realises the chain; nothing iterates it again.
+        calls = []
+
+        def counted_solve(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        with mock.patch.object(theorems, "solve", counted_solve), mock.patch.object(
+            theorems, "run_picard_pair", side_effect=AssertionError("second chain")
+        ):
+            report = run_theorem(sc)
+        assert len(calls) == 1, tid
+        assert report.hypotheses == expected.hypotheses
+
+        pair_chain = tid in PAIR_CHAIN_THEOREMS
+        chain_s = s_map if pair_chain else identity_map(space)
+        observed = report.conclusion.observed
+        try:
+            direct = solve(space, t_map, chain_s, sc.x0, max_iter=sc.max_iter, tol=sc.tol)
+        except NoClrBase:
+            assert observed["solve"] == {"error": "no-clr-base"}
+            limits = set()
+        else:
+            assert observed["solve"] == solve_summary(direct)
+            limits = _limit_set(space, t_map, direct.trace, pair_chain)
+        if tid in SUBSEQUENCE_HYPOTHESES:
+            holds = report.status_of(SUBSEQUENCE_HYPOTHESES[tid]) is HypothesisStatus.HOLDS
+            assert holds == (observed["designated"] in limits), (tid, observed, limits)
+            if sc.q is not None:
+                assert observed["designated"] == (s_map(sc.q) if pair_chain else sc.q)

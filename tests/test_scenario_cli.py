@@ -4,11 +4,13 @@ from pathlib import Path
 
 import pytest
 
-from kannanlab import reproduce
-from kannanlab.builtins import EXAMPLE_IDS
+from kannanlab import ConditionKind, PairMode, reproduce
+from kannanlab.builtins import EXAMPLE_IDS, EXAMPLES
 from kannanlab.cli import main
 from kannanlab.report import render_json
 from kannanlab.scenario import ParseError, ValidationError, parse_scenario, parse_scenario_dict
+from kannanlab.sigma import GALLERY_NAMES
+from kannanlab.theorems import THEOREM_IDS
 
 
 def write(tmp_path, name, payload):
@@ -113,6 +115,24 @@ def test_parse_error_carries_position(tmp_path):
     with pytest.raises(ParseError) as err:
         parse_scenario(str(path))
     assert "line 1" in str(err.value)
+
+
+def test_cli_rejects_duplicate_keys(tmp_path, capsys):
+    top = (
+        '{"space": {"type": "finite", "points": [1, 2]}, "maps": {"T": "identity"}, '
+        '"maps": {"T": {"constant": "2"}}}'
+    )
+    nested = (
+        '{"space": {"type": "finite", "points": [1, 2], "points": [3, 4]}, '
+        '"maps": {"T": "identity"}}'
+    )
+    for name, text, key in (("top.json", top, "maps"), ("nested.json", nested, "points")):
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(ParseError, match=f"duplicate key '{key}'"):
+            parse_scenario(str(path))
+        assert main(["solve", str(path)]) == 3
+        assert f"duplicate key '{key}'" in json.loads(capsys.readouterr().out)["error"]
 
 
 def test_explicit_distance_table_and_maps():
@@ -363,6 +383,11 @@ def test_schema_accepts_what_the_parser_accepts():
             "theorem": {"id": "T3.29", "w": 2},
         },
         {"space": {"type": "builtin", "name": "koparde-demo"}, "solve": {"x0": "1.00"}},
+        # A diagonal entry within tolerance of zero.
+        {
+            "space": {"type": "finite", "labels": ["a", "b"], "dist": [[-1e-10, 1], [1, 0]]},
+            "maps": {"T": "identity"},
+        },
     ]
     for doc in accepted:
         parse_scenario_dict(doc)
@@ -372,3 +397,20 @@ def test_schema_accepts_what_the_parser_accepts():
     with pytest.raises(ValidationError):
         parse_scenario_dict(rejected)
     assert not validator.is_valid(rejected)
+
+    # Every enumeration in the schema is the package's own list.
+    props = schema["properties"]
+    enums = {
+        "space.name": props["space"]["oneOf"][0]["properties"]["name"]["enum"],
+        "sigma.name": props["sigma"]["properties"]["name"]["enum"],
+        "check.condition": props["check"]["properties"]["condition"]["enum"],
+        "theorem.id": props["theorem"]["properties"]["id"]["enum"],
+        "mode": props["mode"]["enum"],
+    }
+    assert enums == {
+        "space.name": list(EXAMPLES),
+        "sigma.name": list(GALLERY_NAMES),
+        "check.condition": [kind.value for kind in ConditionKind],
+        "theorem.id": list(THEOREM_IDS),
+        "mode": [mode.value for mode in PairMode],
+    }
