@@ -85,6 +85,8 @@ def main(argv=None) -> int:
         body = {
             "valid": False,
             "violations": [_violation_dict(v) for v in e.violations],
+            "violations_total": e.total,
+            "violations_truncated": e.total > len(e.violations),
         }
         code = EXIT_FALSIFIED
 

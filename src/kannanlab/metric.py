@@ -13,9 +13,16 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 DEFAULT_TOL = 1e-9
+
+# Unit roundoff of IEEE binary64 arithmetic in round-to-nearest.
+_UNIT_ROUNDOFF = 2.0**-53
+
+# A rejected table keeps this many violations, in scan order; the rest are
+# only counted, so a large invalid table costs no more memory than a small one.
+_VIOLATIONS_KEPT = 100
 
 # 1/n**n underflows past n ~ 150; the cap keeps every distance of the
 # truncated harmonic space strictly positive and representable.
@@ -39,13 +46,18 @@ class MetricViolation:
 
 
 class MetricInvalid(ValueError):
-    """Raised when a distance table fails one or more metric axioms."""
+    """Raised when a distance table fails one or more metric axioms.
 
-    def __init__(self, violations: Sequence[MetricViolation]):
+    ``violations`` holds the first violations in scan order and ``total``
+    counts all of them (by default, those given).
+    """
+
+    def __init__(self, violations: Sequence[MetricViolation], total: int | None = None):
         self.violations = tuple(violations)
+        self.total = len(self.violations) if total is None else total
         head = self.violations[0]
         super().__init__(
-            f"{len(self.violations)} metric violation(s); first is "
+            f"{self.total} metric violation(s); first is "
             f"{head.kind.value} at indices {head.indices}"
         )
 
@@ -71,45 +83,36 @@ def find_violations(
     indices lexicographic within each kind), so the first entry of the
     returned list is a deterministic witness.
     """
+    return list(_scan(dist, tol))
+
+
+def _scan(dist: Sequence[Sequence[float]], tol: float) -> Iterator[MetricViolation]:
+    """Yield the violations of :func:`find_violations` one at a time, in its order."""
     n = len(dist)
-    found: list[MetricViolation] = []
     for i in range(n):
         if abs(dist[i][i]) > tol:
-            found.append(
-                MetricViolation(ViolationKind.NON_ZERO_DIAGONAL, (i, i), (dist[i][i],))
-            )
+            yield MetricViolation(ViolationKind.NON_ZERO_DIAGONAL, (i, i), (dist[i][i],))
     for i in range(n):
         for j in range(i + 1, n):
             if abs(dist[i][j] - dist[j][i]) > tol:
-                found.append(
-                    MetricViolation(
-                        ViolationKind.ASYMMETRY, (i, j), (dist[i][j], dist[j][i])
-                    )
-                )
+                yield MetricViolation(ViolationKind.ASYMMETRY, (i, j), (dist[i][j], dist[j][i]))
     # Positivity is strict: spaces may carry genuinely tiny distances
     # (reciprocal-power points), so no tolerance is applied here.
     for i in range(n):
         for j in range(i + 1, n):
             if dist[i][j] <= 0.0 or dist[j][i] <= 0.0:
-                found.append(
-                    MetricViolation(
-                        ViolationKind.INDISCERNIBLE_PAIR,
-                        (i, j),
-                        (dist[i][j], dist[j][i]),
-                    )
+                yield MetricViolation(
+                    ViolationKind.INDISCERNIBLE_PAIR, (i, j), (dist[i][j], dist[j][i])
                 )
     for i in range(n):
         for j in range(n):
             for k in range(n):
                 if dist[i][k] > dist[i][j] + dist[j][k] + tol:
-                    found.append(
-                        MetricViolation(
-                            ViolationKind.TRIANGLE_FAILURE,
-                            (i, j, k),
-                            (dist[i][k], dist[i][j], dist[j][k]),
-                        )
+                    yield MetricViolation(
+                        ViolationKind.TRIANGLE_FAILURE,
+                        (i, j, k),
+                        (dist[i][k], dist[i][j], dist[j][k]),
                     )
-    return found
 
 
 @dataclass(frozen=True)
@@ -159,7 +162,8 @@ def build_finite_space(
 
     Raises ``ValueError`` for structural problems (non-square table, label
     mismatch, duplicates, non-finite entries) and :class:`MetricInvalid`
-    when the table is well-formed but breaks a metric axiom.
+    when the table is well-formed but breaks a metric axiom; the exception
+    keeps the first violations in scan order and counts the rest.
     """
     if tol < 0:
         raise ValueError("tol must be >= 0")
@@ -174,9 +178,14 @@ def build_finite_space(
         for v in row:
             if not math.isfinite(v):
                 raise ValueError("distances must be finite")
-    violations = find_violations(table, tol)
-    if violations:
-        raise MetricInvalid(violations)
+    kept: list[MetricViolation] = []
+    total = 0
+    for violation in _scan(table, tol):
+        if total < _VIOLATIONS_KEPT:
+            kept.append(violation)
+        total += 1
+    if total:
+        raise MetricInvalid(kept, total)
     return FiniteMetricSpace(names, table, tol)
 
 
@@ -185,12 +194,61 @@ def space_from_values(
     labels: Sequence | None = None,
     tol: float = DEFAULT_TOL,
 ) -> FiniteMetricSpace:
-    """Build a space of real numbers under the absolute-difference metric."""
+    """Build a space of real numbers under the absolute-difference metric.
+
+    When :func:`_abs_diff_is_metric` proves the table valid, the space is
+    built without the O(n^3) scan; otherwise :func:`build_finite_space`
+    validates it, with the same result and the same exceptions.
+    """
     vals = [float(v) for v in values]
     if labels is None:
         labels = [_number_label(v) for v in vals]
-    table = [[abs(a - b) for b in vals] for a in vals]
-    return build_finite_space(labels, table, tol)
+    names = tuple(str(label) for label in labels)
+    table = tuple(tuple(abs(a - b) for b in vals) for a in vals)
+    if len(set(names)) == len(names) == len(vals) and _abs_diff_is_metric(vals, tol):
+        return FiniteMetricSpace(names, table, tol)
+    return build_finite_space(names, table, tol)
+
+
+def _abs_diff_is_metric(vals: Sequence[float], tol: float) -> bool:
+    """True when the table ``|a - b|`` of ``vals`` passes :func:`find_violations`.
+
+    Sufficient, not necessary: the values are finite and pairwise distinct
+    under ``==`` (so ``0.0`` and ``-0.0`` count as equal), their diameter
+    ``diam = max - min`` is finite, and ``tol >= 16 u diam`` with
+    u = 2**-53.  In IEEE binary64 round-to-nearest arithmetic with gradual
+    underflow, each check of the scan then passes:
+
+    - diagonal: ``a - a`` is exactly 0;
+    - symmetry: rounding is odd, ``fl(a - b) = -fl(b - a)``, so the table is
+      exactly symmetric;
+    - positivity: ``a != b`` implies ``fl(a - b) != 0``, since a difference
+      that would underflow is exact (subnormals);
+    - triangle: addition and subtraction have relative error at most u,
+      also for subnormal results, which are exact.  Let D be the exact
+      diameter, and for the points i, j, k let P, Q, R be the exact
+      distances d(i, j), d(j, k), d(i, k), so R <= P + Q <= 2D.  The stored
+      r and the computed s = fl(p + q) satisfy
+      r - s <= R(1 + u) - (P + Q)(1 - u)**2 <= (3u - u**2)(P + Q) <= 6u D.
+      The bound ``fl(16 u diam)`` is at least 15u D: ``diam`` is within a
+      factor (1 - u) of D, and when ``16 u diam`` falls among the subnormals
+      and rounds, D >= 2**-1021 keeps its relative error under 1/32; for
+      D < 2**-1021 every difference is exact, r <= P + Q rounds to
+      r <= s, and there is no excess.  So r <= s + tol, and since rounding
+      is monotone (an overflow to inf only helps), r <= fl(s + tol): the
+      scan's test
+      ``dist[i][k] > dist[i][j] + dist[j][k] + tol`` never fires.
+
+    Distinct values and a finite diameter also make every entry finite and
+    positive off the diagonal, as :func:`build_finite_space` requires.
+    """
+    if not all(math.isfinite(v) for v in vals):
+        return False
+    ordered = sorted(vals)
+    if any(a == b for a, b in zip(ordered, ordered[1:])):
+        return False
+    diam = ordered[-1] - ordered[0] if ordered else 0.0
+    return math.isfinite(diam) and tol >= 16 * _UNIT_ROUNDOFF * diam
 
 
 def _number_label(v: float) -> str:
@@ -314,8 +372,7 @@ def build_truncated_harmonic_space(n_max: int) -> HarmonicTruncation:
     points = [("0", 0.0)] + core + [boundary] + images
     labels = [label for label, _ in points]
     values = [value for _, value in points]
-    table = [[abs(a - b) for b in values] for a in values]
-    space = build_finite_space(labels, table)
+    space = space_from_values(values, labels)
 
     index = {label: i for i, label in enumerate(labels)}
     zero = index["0"]

@@ -44,7 +44,6 @@ from .metric import (
 from .picard import (
     DEFAULT_MAX_ITER,
     LOWEST_INDEX,
-    NoClrBase,
     SolveKind,
     SolveResult,
     brute_force_points,
@@ -227,8 +226,7 @@ _SIGMA_CLASS: tuple[_Builder, ...] = (
 
 
 def _clr_hypothesis(run: _Run) -> Hypothesis:
-    sc = run.sc
-    base = find_clr_base(sc.space, sc.t_map, sc.s_map)
+    base = run.clr_base
     if base is None:
         return Hypothesis("clr-property", HypothesisStatus.FAILS, "no chain-admitting base point")
     return Hypothesis("clr-property", HypothesisStatus.HOLDS, f"chain exists from {base}")
@@ -408,16 +406,25 @@ class _Run:
         return HypothesisReport(self.sc.theorem, tuple(build(self) for build in self.checklist))
 
     @cached_property
+    def chain_s(self) -> SelfMap:
+        """The second map of the statement's chain: S, or the identity on an orbit."""
+        return self.sc.s_map if self.contract.pair_chain else identity_map(self.sc.space)
+
+    @cached_property
+    def clr_base(self) -> str | None:
+        """The first point admitting an unbroken chain, found once per run."""
+        return find_clr_base(self.sc.space, self.sc.t_map, self.chain_s)
+
+    @cached_property
     def solved(self) -> SolveResult | None:
         """Solve along the statement's chain, or None when no point admits one."""
         sc = self.sc
-        s_map = sc.s_map if self.contract.pair_chain else identity_map(sc.space)
-        try:
-            return solve(
-                sc.space, sc.t_map, s_map, sc.x0, policy=sc.policy, max_iter=sc.max_iter, tol=sc.tol
-            )
-        except NoClrBase:
+        x0 = sc.x0 if sc.x0 is not None else self.clr_base
+        if x0 is None:
             return None
+        return solve(
+            sc.space, sc.t_map, self.chain_s, x0, policy=sc.policy, max_iter=sc.max_iter, tol=sc.tol
+        )
 
     @cached_property
     def limits(self) -> tuple[str, ...]:

@@ -4,9 +4,11 @@ from fractions import Fraction
 import pytest
 
 from kannanlab import (
+    HarmonicTruncation,
     ImageOutOfSpace,
     MetricInvalid,
     PartialAssignment,
+    SelfMap,
     ViolationKind,
     build_finite_space,
     build_self_map,
@@ -106,7 +108,7 @@ def test_harmonic_truncation_bounds():
 
 def test_harmonic_truncation_at_the_cap():
     # The largest admissible truncation still has strictly positive,
-    # representable distances (construction validates the axioms) and a
+    # representable distances (construction checks the axioms) and a
     # bijective second map.
     trunc = build_truncated_harmonic_space(120)
     assert trunc.s.is_injective
@@ -114,6 +116,33 @@ def test_harmonic_truncation_at_the_cap():
         trunc.space.index_of("0"), trunc.space.index_of(f"1/{121 ** 121}")
     )
     assert 0.0 < tiny < 1e-200
+
+
+def _scanned_harmonic_truncation(n_max):
+    """The truncation built from its own table through the full axiom scan."""
+    core = [(f"1/{n}", 1.0 / n) for n in range(4, n_max + 1)]
+    boundary = (f"1/{n_max + 1}", 1.0 / (n_max + 1))
+    images = [(f"1/{n ** n}", 1.0 / float(n**n)) for n in range(4, n_max + 2)]
+    points = [("0", 0.0)] + core + [boundary] + images
+    labels = [label for label, _ in points]
+    space = build_finite_space(labels, abs_diff_table([value for _, value in points]))
+    index = {label: i for i, label in enumerate(labels)}
+    t_assign = [index["0"]] * len(labels)
+    s_assign = [index["0"]] * len(labels)
+    for n in range(4, n_max + 1):
+        t_assign[index[f"1/{n}"]] = index[f"1/{n + 1}"]
+    for n in range(4, n_max + 2):
+        here, img = index[f"1/{n}"], index[f"1/{n ** n}"]
+        s_assign[here], s_assign[img] = img, here
+    core_labels = ("0",) + tuple(label for label, _ in core)
+    return HarmonicTruncation(
+        space, SelfMap(space, tuple(t_assign)), SelfMap(space, tuple(s_assign)), core_labels
+    )
+
+
+@pytest.mark.parametrize("n_max", [4, 60, 120])
+def test_harmonic_truncation_matches_the_scanned_construction(n_max):
+    assert build_truncated_harmonic_space(n_max) == _scanned_harmonic_truncation(n_max)
 
 
 def test_harmonic_image_distance_oracle(harmonic50):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kannanlab import (
+    DEFAULT_TOL,
     AxiomKind,
     ConditionKind,
     ConditionReport,
@@ -23,6 +24,7 @@ from kannanlab import (
     SelfMap,
     brute_force_points,
     build_finite_space,
+    build_truncated_harmonic_space,
     check_axiom,
     check_condition,
     check_hypotheses,
@@ -46,7 +48,7 @@ from kannanlab import (
     solve,
     space_from_values,
 )
-from kannanlab import theorems
+from kannanlab import metric, picard, theorems
 from kannanlab.report import solve_summary
 from kannanlab.sigma import make_witness
 from kannanlab.theorems import THEOREM_IDS
@@ -116,6 +118,79 @@ def test_upper_bound_strict_for_half_and_two_thirds_slopes(t, s):
 def test_random_spaces_satisfy_every_axiom(seed, n):
     space = random_space(n, random.Random(seed))
     assert space.violations() == []
+
+
+# Signed zeros, subnormals, 1e-300 gaps, magnitudes whose differences
+# overflow, a 1e6 diameter, and mixed magnitudes whose rounded triangles
+# exceed a zero tolerance.
+_EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e-300, 2e-300, 2.2250738585072014e-308,
+                1.0, 1e6, -1e6, 1e308, -1e308, 1.7976931348623157e308]
+def _mixed_magnitudes(seed, k):
+    rng = random.Random(seed)
+    return [rng.choice((-1, 1)) * rng.random() * 10.0 ** rng.randint(-3, 3) for _ in range(k)]
+
+
+_ROW = st.one_of(
+    st.lists(
+        st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(_EDGE_VALUES)),
+        max_size=7,
+    ),
+    st.builds(_mixed_magnitudes, st.integers(0, 2**32), st.integers(3, 7)),
+    st.builds(
+        lambda base, gap, k: [base + i * gap for i in range(k)],
+        st.sampled_from([0.0, -1e-300, 1.0, 1e6, -1e300, 1e308]),
+        st.sampled_from([5e-324, 1e-300, 1e-12, 1.1641532182693481e-10, 0.1, 1e6 / 7, 1e300]),
+        st.integers(1, 7),
+    ),
+)
+
+
+def _built(build):
+    """The space, or the exception's type, message, violations and total."""
+    try:
+        return build()
+    except ValueError as e:
+        return type(e), str(e), getattr(e, "violations", None), getattr(e, "total", None)
+
+
+def _assert_matches_the_full_scan(values, tol):
+    labels = [f"p{i}" for i in range(len(values))]
+    table = [[abs(a - b) for b in values] for a in values]
+    assert _built(lambda: space_from_values(values, labels, tol)) == _built(
+        lambda: build_finite_space(labels, table, tol)
+    )
+
+
+@given(
+    row=_ROW,
+    tol=st.sampled_from([0.0, 1e-300, 1e-12, DEFAULT_TOL, 1.0, math.inf]),
+    data=st.data(),
+)
+@settings(max_examples=400, deadline=None)
+def test_abs_diff_spaces_match_the_full_scan(row, tol, data):
+    values = row + data.draw(st.lists(st.sampled_from(row), max_size=2) if row else st.just([]))
+    _assert_matches_the_full_scan(data.draw(st.permutations(values), label="values"), tol)
+
+
+@pytest.mark.parametrize(
+    "values, tol",
+    [
+        ([-1e308, 1e308], math.inf),  # a distance overflows under an infinite tol
+        ([0.0, -0.0, 1.0], 1.0),
+        ([-0.0033909564785093373, 0.00018092983640471738, 8.111390619505176], 0.0),
+        ([0.0, 5e-324, 1e-323], 0.0),
+        ([], 0.0),
+        ([3.0], 0.0),
+    ],
+)
+def test_abs_diff_edge_cases_match_the_full_scan(values, tol):
+    _assert_matches_the_full_scan(values, tol)
+
+
+def test_abs_diff_spaces_skip_the_scan_when_proved():
+    with mock.patch.object(metric, "_scan", side_effect=AssertionError("scanned")):
+        assert space_from_values([0.0, 5e-324, 1e-300, 1.0, 1e5]).n == 5
+        assert build_truncated_harmonic_space(60).space.n == 117
 
 
 def test_every_falsified_verdict_replays():
@@ -385,22 +460,34 @@ def test_theorem_runner_reads_one_chain(seed, n, sub_tolerance, data):
                 run_theorem(sc)
             assert str(again.value) == str(e)
             continue
-        # One solve call realises the chain; nothing iterates it again.
+        pair_chain = tid in PAIR_CHAIN_THEOREMS
+        chain_s = s_map if pair_chain else identity_map(space)
+        # One solve call realises the chain, unless no point admits one;
+        # nothing iterates it again, and the chain's base point is searched
+        # for at most once.
+        has_base = sc.x0 is not None or find_clr_base(space, t_map, chain_s) is not None
         calls = []
+        bases = []
 
         def counted_solve(*args, **kwargs):
             calls.append(args)
             return solve(*args, **kwargs)
 
+        def counted_base(*args):
+            bases.append(args)
+            return find_clr_base(*args)
+
         with mock.patch.object(theorems, "solve", counted_solve), mock.patch.object(
             theorems, "run_picard_pair", side_effect=AssertionError("second chain")
+        ), mock.patch.object(theorems, "find_clr_base", counted_base), mock.patch.object(
+            picard, "find_clr_base", counted_base
         ):
             report = run_theorem(sc)
-        assert len(calls) == 1, tid
+        assert len(calls) == (1 if has_base else 0), tid
         assert report.hypotheses == expected.hypotheses
-
-        pair_chain = tid in PAIR_CHAIN_THEOREMS
-        chain_s = s_map if pair_chain else identity_map(space)
+        # The pair-chain statements carry the clr-property hypothesis, which
+        # reads the base even when x0 is given.
+        assert len(bases) == (1 if sc.x0 is None or pair_chain else 0), (tid, sc.x0)
         observed = report.conclusion.observed
         try:
             direct = solve(space, t_map, chain_s, sc.x0, max_iter=sc.max_iter, tol=sc.tol)

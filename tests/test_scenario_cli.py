@@ -1,10 +1,18 @@
 import json
+import random
 import re
 from pathlib import Path
 
 import pytest
 
-from kannanlab import ConditionKind, PairMode, reproduce
+from kannanlab import (
+    ConditionKind,
+    MetricInvalid,
+    PairMode,
+    build_finite_space,
+    find_violations,
+    reproduce,
+)
 from kannanlab.builtins import EXAMPLE_IDS, EXAMPLES
 from kannanlab.cli import main
 from kannanlab.report import render_json
@@ -245,6 +253,41 @@ def test_cli_validate_and_invalid_table(tmp_path, capsys):
     assert code == 1
     assert out["valid"] is False
     assert out["violations"][0]["kind"] == "TriangleFailure"
+    assert out["violations_total"] == len(out["violations"]) == 2
+    assert out["violations_truncated"] is False
+
+
+def test_cli_caps_the_violations_of_a_large_invalid_table(tmp_path, capsys):
+    # Raw random weights on 60 points, never shortest-path completed.
+    rng = random.Random(5)
+    n = 60
+    dist = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            dist[i][j] = dist[j][i] = rng.uniform(0.5, 2.0)
+    path = write(
+        tmp_path,
+        "raw.json",
+        {"space": {"type": "finite", "labels": [f"q{i}" for i in range(n)], "dist": dist},
+         "maps": {"T": "identity"}},
+    )
+    code = main(["validate", path])
+    out = json.loads(capsys.readouterr().out)
+    every = find_violations(dist)
+    assert code == 1 and out["valid"] is False
+    assert len(every) > 100
+    first = [
+        {"kind": v.kind.value, "indices": list(v.indices), "values": list(v.values)}
+        for v in every[:100]
+    ]
+    assert out["violations"] == json.loads(render_json({"v": first}))["v"]
+    assert out["violations_total"] == len(every)
+    assert out["violations_truncated"] is True
+    with pytest.raises(MetricInvalid) as err:
+        build_finite_space([f"q{i}" for i in range(n)], dist)
+    assert err.value.violations == tuple(every[:100])
+    assert err.value.total == len(every)
+    assert str(err.value).startswith(f"{len(every)} metric violation(s); first is ")
 
 
 def test_cli_theorem_exit_codes(tmp_path, capsys):
