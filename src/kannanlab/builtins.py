@@ -19,17 +19,6 @@ from .metric import (
     identity_map,
     space_from_values,
 )
-from .sigma import ComparisonFn, gallery
-
-EXAMPLE_IDS = (
-    "ex-3.24",
-    "ex-3.26",
-    "ex-3.34",
-    "ex-3.35",
-    "koparde-demo",
-    "patel-deheri-demo",
-    "classify-gallery",
-)
 
 #: Members and parameters classified by the gallery sweep.
 CLASSIFY_MEMBERS = (
@@ -100,24 +89,5 @@ EXAMPLES = {
     "koparde-demo": Example(thirds_grid, ("chi", {"alpha": 0.3}), "C3.31", w=2, x0="1.00"),
     "patel-deheri-demo": Example(harmonic_pair, ("chi", {"alpha": 1.0 / 3.0}), "C3.32", w=1),
 }
-BUILTIN_SPACES = {name: example.build for name, example in EXAMPLES.items()}
-
-
-def builtin_triple(name: str) -> tuple[FiniteMetricSpace, SelfMap, SelfMap]:
-    try:
-        build = BUILTIN_SPACES[name]
-    except KeyError:
-        raise KeyError(f"unknown builtin space {name!r}") from None
-    return build()
-
-
-def builtin_sigma(name: str) -> tuple[ComparisonFn | None, float]:
-    """Comparison function and c constant conventionally paired with an entry."""
-    if name not in EXAMPLES:
-        return None, 1.0
-    member, params = EXAMPLES[name].sigma
-    return gallery(member, **params), EXAMPLES[name].c
-
-
-def builtin_theorem_id(name: str) -> str | None:
-    return EXAMPLES[name].theorem if name in EXAMPLES else None
+#: Every id ``reproduce`` accepts: the catalog entries plus the gallery sweep.
+EXAMPLE_IDS = (*EXAMPLES, "classify-gallery")

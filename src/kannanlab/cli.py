@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 from .conditions import PairMode, check_condition
 from .metric import MetricInvalid
@@ -45,7 +44,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "target", help="scenario file (JSON), or a builtin example id for reproduce"
     )
-    parser.add_argument("--mode", choices=["positive", "all"], help="pair sweep mode override")
+    parser.add_argument(
+        "--mode", choices=[mode.value for mode in PairMode], help="pair sweep mode override"
+    )
     parser.add_argument("--tol", type=float, help="tolerance override")
     parser.add_argument("--max-iter", type=int, help="iteration cap override")
     parser.add_argument("--seed", type=int, help="random seed override")
@@ -100,27 +101,8 @@ def main(argv=None) -> int:
 
 
 def _load(args) -> ScenarioDoc:
-    doc = parse_scenario(args.target)
-    sc = doc.scenario
-    overrides = {}
-    if args.mode is not None:
-        overrides["mode"] = (
-            PairMode.POSITIVE_PAIRS if args.mode == "positive" else PairMode.ALL_ORDERED_PAIRS
-        )
-    if args.tol is not None:
-        if args.tol < 0:
-            raise ValidationError("tol", "must be >= 0")
-        overrides["tol"] = args.tol
-    if args.max_iter is not None:
-        if args.max_iter < 1:
-            raise ValidationError("max_iter", "must be a positive integer")
-        overrides["max_iter"] = args.max_iter
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if overrides:
-        sc = replace(sc, **overrides)
-        doc = ScenarioDoc(sc, doc.condition, doc.solve_x0, doc.classify_c_values)
-    return doc
+    flags = {"mode": args.mode, "tol": args.tol, "max_iter": args.max_iter, "seed": args.seed}
+    return parse_scenario(args.target, {k: v for k, v in flags.items() if v is not None})
 
 
 def _violation_dict(v) -> dict:

@@ -58,6 +58,14 @@ class PicardTrace:
         return tuple(self.space.labels[i] for i in self.points[self.cycle.start : stop])
 
 
+def _s_preimages(s_map: SelfMap) -> dict[int, tuple[int, ...]]:
+    """Each point of S's image mapped to its S-preimages in index order."""
+    preimages: dict[int, list[int]] = {}
+    for y, sy in enumerate(s_map.assignment):
+        preimages.setdefault(sy, []).append(y)
+    return {sy: tuple(ys) for sy, ys in preimages.items()}
+
+
 def find_clr_base(
     space: FiniteMetricSpace, t_map: SelfMap, s_map: SelfMap
 ) -> str | None:
@@ -69,10 +77,8 @@ def find_clr_base(
     """
     require_same_space(space, t_map, s_map)
     n = space.n
-    preimages: dict[int, list[int]] = {}
-    for y, sy in enumerate(s_map.assignment):
-        preimages.setdefault(sy, []).append(y)
-    successors = [preimages.get(t_map.assignment[x], []) for x in range(n)]
+    preimages = _s_preimages(s_map)
+    successors = [preimages.get(t_map.assignment[x], ()) for x in range(n)]
     alive = [bool(successors[x]) for x in range(n)]
     changed = True
     while changed:
@@ -116,10 +122,7 @@ def run_picard_pair(
     else:
         start = space.index_of(x0)
 
-    preimages: dict[int, tuple[int, ...]] = {}
-    for y, sy in enumerate(s_map.assignment):
-        preimages.setdefault(sy, ())
-        preimages[sy] = preimages[sy] + (y,)
+    preimages = _s_preimages(s_map)
 
     def choose(target: int) -> int | None:
         candidates = preimages.get(target)

@@ -16,6 +16,7 @@ from pathlib import Path
 
 from . import builtins as catalog
 from .conditions import (
+    ConditionKind,
     ConditionSpec,
     PairMode,
     classical_kannan,
@@ -36,7 +37,6 @@ from .metric import (
     identity_map,
     space_from_values,
 )
-from .picard import DEFAULT_MAX_ITER
 from .sigma import (
     ComparisonFn,
     MissingParam,
@@ -44,7 +44,7 @@ from .sigma import (
     UnknownGallery,
     gallery,
 )
-from .theorems import THEOREM_IDS, Scenario
+from .theorems import THEOREM_IDS, Scenario, builtin_scenario
 
 
 class ParseError(ValueError):
@@ -74,14 +74,8 @@ TOP_KEYS = {
     "seed",
 }
 
-CONDITION_NAMES = {
-    "classical-kannan",
-    "sigma-kannan",
-    "sigma-s-kannan",
-    "s-dominated",
-    "malceski",
-    "koparde-waghmode",
-}
+_MODES = tuple(mode.value for mode in PairMode)
+_CONDITIONS = tuple(kind.value for kind in ConditionKind)
 
 
 @dataclass(frozen=True)
@@ -94,7 +88,7 @@ class ScenarioDoc:
     classify_c_values: tuple[float, ...] = (1.0,)
 
 
-def parse_scenario(path) -> ScenarioDoc:
+def parse_scenario(path, overrides: dict | None = None) -> ScenarioDoc:
     text = Path(path).read_text()
     try:
         raw = json.loads(text, object_pairs_hook=_unique_keys)
@@ -102,7 +96,7 @@ def parse_scenario(path) -> ScenarioDoc:
         raise ParseError(f"line {e.lineno} column {e.colno}: {e.msg}") from None
     if not isinstance(raw, dict):
         raise ValidationError("$", "scenario document must be a JSON object")
-    return parse_scenario_dict(raw)
+    return parse_scenario_dict(raw, overrides)
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -115,55 +109,29 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return out
 
 
-def parse_scenario_dict(raw: dict) -> ScenarioDoc:
+def parse_scenario_dict(raw: dict, overrides: dict | None = None) -> ScenarioDoc:
+    """Read a scenario document into a fully resolved scenario.
+
+    ``overrides`` maps run-setting keys (``mode``, ``tol``, ``max_iter``,
+    ``seed``) to values that replace the document's; they are read by the
+    same rules, after the whole document.  Settings neither gives take the
+    ``Scenario`` defaults; a builtin space starts from its catalog entry.
+    """
     _reject_unknown("$", raw, TOP_KEYS)
     if "space" not in raw:
         raise ValidationError("space", "section is required")
 
-    space, t_map, s_map, builtin_sigma, builtin_theorem = _parse_space_and_maps(raw)
-
-    sigma: ComparisonFn | None = builtin_sigma
-    c = 1.0
+    fields = _parse_space_and_maps(raw)
+    space = fields["space"]
     if "sigma" in raw:
-        sigma, c = _parse_sigma(raw["sigma"])
-
-    tol = _finite(raw.get("tol", 1e-9), "tol")
-    if tol < 0:
-        raise ValidationError("tol", "must be >= 0")
-    max_iter = raw.get("max_iter", DEFAULT_MAX_ITER)
-    if not isinstance(max_iter, int) or max_iter < 1:
-        raise ValidationError("max_iter", "must be a positive integer")
-    seed = raw.get("seed", 0)
-    if not isinstance(seed, int):
-        raise ValidationError("seed", "must be an integer")
-    mode = _parse_mode(raw.get("mode", "positive"))
-
-    theorem_id = builtin_theorem
-    w = None
-    alpha = None
-    x0 = None
-    q = None
+        fields["sigma"], fields["c"] = _parse_sigma(raw["sigma"])
+    fields.update(_read_settings(raw))
     if "theorem" in raw:
-        section = raw["theorem"]
-        _require_mapping("theorem", section)
-        _reject_unknown("theorem", section, {"id", "w", "alpha", "x0", "q", "c"})
-        theorem_id = section.get("id", theorem_id)
-        if theorem_id not in THEOREM_IDS:
-            raise ValidationError("theorem.id", f"must be one of {list(THEOREM_IDS)}")
-        if "w" in section:
-            if not isinstance(section["w"], int) or section["w"] < 1:
-                raise ValidationError("theorem.w", "must be a positive integer")
-            w = section["w"]
-        if "alpha" in section:
-            alpha = _finite(section["alpha"], "theorem.alpha")
-        if "c" in section:
-            c = _finite(section["c"], "theorem.c")
-        x0 = _optional_point(space, section.get("x0"), "theorem.x0")
-        q = _optional_point(space, section.get("q"), "theorem.q")
+        fields.update(_parse_theorem(raw["theorem"], space, fields.get("theorem")))
 
     condition = None
     if "check" in raw:
-        condition = _parse_condition(raw["check"], sigma)
+        condition = _parse_condition(raw["check"], fields.get("sigma"))
 
     solve_x0 = None
     if "solve" in raw:
@@ -185,50 +153,78 @@ def parse_scenario_dict(raw: dict) -> ScenarioDoc:
             if v <= 0:
                 raise ValidationError("classify.c_values", "entries must be > 0")
 
-    scenario = Scenario(
-        space=space,
-        t_map=t_map,
-        s_map=s_map,
-        sigma=sigma,
-        c=c,
-        theorem=theorem_id,
-        mode=mode,
-        w=w,
-        alpha=alpha,
-        x0=x0,
-        q=q,
-        tol=tol,
-        max_iter=max_iter,
-        seed=seed,
-        name=raw.get("space", {}).get("name", "") if isinstance(raw.get("space"), dict) else "",
-    )
-    return ScenarioDoc(scenario, condition, solve_x0, c_values)
+    fields.update(_read_settings(overrides or {}))
+    return ScenarioDoc(Scenario(**fields), condition, solve_x0, c_values)
 
 
-def _parse_space_and_maps(raw: dict):
+def _tol(value) -> float:
+    tol = _finite(value, "tol")
+    if tol < 0:
+        raise ValidationError("tol", "must be >= 0")
+    return tol
+
+
+#: Reader of each run setting, shared by document keys and CLI overrides.
+_SETTINGS = {
+    "mode": lambda v: PairMode(_choice(v, "mode", _MODES, "must be 'positive' or 'all'")),
+    "tol": _tol,
+    "max_iter": lambda v: _integer(v, "max_iter", positive=True),
+    "seed": lambda v: _integer(v, "seed"),
+}
+
+
+def _read_settings(source: dict) -> dict:
+    return {key: read(source[key]) for key, read in _SETTINGS.items() if key in source}
+
+
+def _parse_theorem(section, space: FiniteMetricSpace, default_id: str | None) -> dict:
+    _require_mapping("theorem", section)
+    _reject_unknown("theorem", section, {"id", "w", "alpha", "x0", "q", "c"})
+    fields = {
+        "theorem": _choice(
+            section.get("id", default_id),
+            "theorem.id",
+            THEOREM_IDS,
+            f"must be one of {list(THEOREM_IDS)}",
+        )
+    }
+    if "w" in section:
+        fields["w"] = _integer(section["w"], "theorem.w", positive=True)
+    if "alpha" in section:
+        fields["alpha"] = _finite(section["alpha"], "theorem.alpha")
+    if "c" in section:
+        fields["c"] = _finite(section["c"], "theorem.c")
+    for key in ("x0", "q"):
+        if key in section:
+            fields[key] = _optional_point(space, section[key], f"theorem.{key}")
+    return fields
+
+
+def _parse_space_and_maps(raw: dict) -> dict:
+    """``Scenario`` fields for the space and operator pair: a builtin's whole
+    catalog entry, or the given space with identity S; then any maps the
+    document gives."""
     section = raw["space"]
     _require_mapping("space", section)
     kind = section.get("type")
-    builtin_sigma = None
-    builtin_theorem = None
+    fields: dict = {}
 
     if kind == "builtin":
         _reject_unknown("space", section, {"type", "name"})
         name = section.get("name")
-        if name not in catalog.BUILTIN_SPACES:
-            raise ValidationError("space.name", f"unknown builtin {name!r}")
-        space, t_map, s_map = catalog.builtin_triple(name)
-        builtin_sigma, _ = catalog.builtin_sigma(name)
-        builtin_theorem = catalog.builtin_theorem_id(name)
+        fields = vars(
+            builtin_scenario(
+                _choice(name, "space.name", catalog.EXAMPLES, f"unknown builtin {name!r}")
+            )
+        )
+        space, t_map, s_map = fields["space"], fields["t_map"], fields["s_map"]
     elif kind == "finite":
         _reject_unknown("space", section, {"type", "points", "labels", "dist", "metric"})
         space = _parse_finite_space(section)
         t_map = s_map = None
     elif kind == "harmonic-truncation":
         _reject_unknown("space", section, {"type", "n_max"})
-        n_max = section.get("n_max")
-        if not isinstance(n_max, int):
-            raise ValidationError("space.n_max", "must be an integer")
+        n_max = _integer(section.get("n_max"), "space.n_max")
         try:
             truncation = build_truncated_harmonic_space(n_max)
         except ValueError as e:
@@ -251,7 +247,7 @@ def _parse_space_and_maps(raw: dict):
         raise ValidationError("maps.T", "required for non-builtin spaces")
     if s_map is None:
         s_map = identity_map(space)
-    return space, t_map, s_map, builtin_sigma, builtin_theorem
+    return {**fields, "space": space, "t_map": t_map, "s_map": s_map}
 
 
 def _parse_finite_space(section: dict) -> FiniteMetricSpace:
@@ -337,41 +333,35 @@ def _parse_sigma(section) -> tuple[ComparisonFn, float]:
 def _parse_condition(section, sigma: ComparisonFn | None) -> ConditionSpec:
     _require_mapping("check", section)
     _reject_unknown("check", section, {"condition", "alpha", "gamma", "w"})
-    name = section.get("condition")
-    if name not in CONDITION_NAMES:
-        raise ValidationError("check.condition", f"must be one of {sorted(CONDITION_NAMES)}")
+    kind = ConditionKind(
+        _choice(
+            section.get("condition"),
+            "check.condition",
+            _CONDITIONS,
+            f"must be one of {sorted(_CONDITIONS)}",
+        )
+    )
     try:
-        if name == "classical-kannan":
+        if kind is ConditionKind.CLASSICAL_KANNAN:
             return classical_kannan(_finite(section.get("alpha"), "check.alpha"))
-        if name == "koparde-waghmode":
+        if kind is ConditionKind.KOPARDE_WAGHMODE:
             return koparde_waghmode(_finite(section.get("alpha"), "check.alpha"))
-        if name == "malceski":
+        if kind is ConditionKind.MALCESKI:
             return malceski(
                 _finite(section.get("alpha"), "check.alpha"),
                 _finite(section.get("gamma", 0.0), "check.gamma"),
             )
         if sigma is None:
-            raise ValidationError("sigma", f"{name} needs a sigma section")
-        if name == "sigma-kannan":
+            raise ValidationError("sigma", f"{kind.value} needs a sigma section")
+        if kind is ConditionKind.SIGMA_KANNAN:
             return sigma_kannan(sigma)
-        if name == "sigma-s-kannan":
+        if kind is ConditionKind.SIGMA_S_KANNAN:
             return sigma_s_kannan(sigma)
-        w = section.get("w", 1)
-        if not isinstance(w, int) or w < 1:
-            raise ValidationError("check.w", "must be a positive integer")
-        return s_dominated(sigma, w)
+        return s_dominated(sigma, _integer(section.get("w", 1), "check.w", positive=True))
     except ValidationError:
         raise
     except ValueError as e:
         raise ValidationError("check", str(e)) from None
-
-
-def _parse_mode(value) -> PairMode:
-    if value == "positive":
-        return PairMode.POSITIVE_PAIRS
-    if value == "all":
-        return PairMode.ALL_ORDERED_PAIRS
-    raise ValidationError("mode", "must be 'positive' or 'all'")
 
 
 def _optional_point(space: FiniteMetricSpace, value, field: str) -> str | None:
@@ -405,3 +395,18 @@ def _finite(value, field: str) -> float:
     if not math.isfinite(out):
         raise ValidationError(field, "must be finite")
     return out
+
+
+def _integer(value, field: str, positive: bool = False) -> int:
+    """``value`` when it is a JSON integer (not a boolean), >= 1 if ``positive``."""
+    if isinstance(value, bool) or not isinstance(value, int) or (positive and value < 1):
+        reason = "must be a positive integer" if positive else "must be an integer"
+        raise ValidationError(field, reason)
+    return value
+
+
+def _choice(value, field: str, choices, reason: str) -> str:
+    """``value`` when it is a string among ``choices``."""
+    if not isinstance(value, str) or value not in choices:
+        raise ValidationError(field, reason)
+    return value

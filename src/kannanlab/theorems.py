@@ -505,13 +505,13 @@ def builtin_scenario(example_id: str) -> Scenario:
         raise UnknownExample(f"no builtin scenario {example_id!r}")
     example = catalog.EXAMPLES[example_id]
     space, t_map, s_map = example.build()
-    sigma, c = catalog.builtin_sigma(example_id)
+    member, params = example.sigma
     return Scenario(
         space=space,
         t_map=t_map,
         s_map=s_map,
-        sigma=sigma,
-        c=c,
+        sigma=gallery(member, **params),
+        c=example.c,
         theorem=example.theorem,
         w=example.w,
         x0=example.x0,
@@ -538,18 +538,9 @@ class ReproduceReport:
 
 def reproduce(example_id: str) -> ReproduceReport:
     """Run a builtin entry and compare against its stored expected values."""
-    computers = {
-        "ex-3.24": _compute_ex_3_24,
-        "ex-3.26": _compute_ex_3_26,
-        "ex-3.34": _compute_ex_3_34,
-        "ex-3.35": _compute_ex_3_35,
-        "koparde-demo": _compute_koparde,
-        "patel-deheri-demo": _compute_patel_deheri,
-        "classify-gallery": _compute_classify_gallery,
-    }
-    if example_id not in computers:
+    if example_id not in _COMPUTERS:
         raise UnknownExample(f"unknown example id {example_id!r}")
-    computed = computers[example_id]()
+    computed = _COMPUTERS[example_id]()
     golden = _load_golden(example_id)
     mismatches: list[str] = []
     # Golden values are stored at 12 significant digits; compare at the
@@ -810,6 +801,17 @@ def _compute_classify_gallery() -> dict:
             entry["r_function_witness"] = witness_summary(matrix.r_function.witness)
         members[key] = entry
     return {"members": members, "c_values": list(catalog.CLASSIFY_C_VALUES)}
+
+
+_COMPUTERS = {
+    "ex-3.24": _compute_ex_3_24,
+    "ex-3.26": _compute_ex_3_26,
+    "ex-3.34": _compute_ex_3_34,
+    "ex-3.35": _compute_ex_3_35,
+    "koparde-demo": _compute_koparde,
+    "patel-deheri-demo": _compute_patel_deheri,
+    "classify-gallery": _compute_classify_gallery,
+}
 
 
 # --------------------------------------------------------------------------

@@ -18,7 +18,39 @@ from kannanlab.cli import main
 from kannanlab.report import render_json
 from kannanlab.scenario import ParseError, ValidationError, parse_scenario, parse_scenario_dict
 from kannanlab.sigma import GALLERY_NAMES
-from kannanlab.theorems import THEOREM_IDS
+from kannanlab.theorems import _COMPUTERS, THEOREM_IDS, builtin_scenario, run_theorem
+
+
+_EXPLICIT = {
+    "space": {"type": "finite", "points": [1, 2, 3]},
+    "maps": {"T": "identity"},
+    "sigma": {"name": "chi", "alpha": 0.4},
+}
+
+#: (field, document) pairs giving a JSON boolean where an integer belongs.
+BOOLEAN_INTEGERS = [
+    (field, doc)
+    for flag in (True, False)
+    for field, doc in (
+        ("max_iter", {**_EXPLICIT, "max_iter": flag}),
+        ("seed", {**_EXPLICIT, "seed": flag}),
+        ("theorem.w", {**_EXPLICIT, "theorem": {"id": "T3.29", "w": flag}}),
+        ("check.w", {**_EXPLICIT, "check": {"condition": "s-dominated", "w": flag}}),
+        ("space.n_max", {"space": {"type": "harmonic-truncation", "n_max": flag}}),
+    )
+]
+
+#: (field, document) pairs giving a list or object where a name belongs.
+NON_STRING_CHOICES = [
+    (field, doc)
+    for bad in (["ex-3.24"], {"name": "ex-3.24"})
+    for field, doc in (
+        ("space.name", {"space": {"type": "builtin", "name": bad}}),
+        ("check.condition", {**_EXPLICIT, "check": {"condition": bad}}),
+        ("theorem.id", {**_EXPLICIT, "theorem": {"id": bad}}),
+        ("mode", {**_EXPLICIT, "mode": bad}),
+    )
+]
 
 
 def write(tmp_path, name, payload):
@@ -174,6 +206,10 @@ def test_cli_reproduce_all_exit_zero(capsys):
         capsys.readouterr()
         r = reproduce(example)
         assert render_json(r.computed) == render_json(r.golden)
+
+
+def test_example_ids_are_the_ids_reproduce_accepts():
+    assert set(EXAMPLE_IDS) == set(_COMPUTERS)
 
 
 def test_cli_reproduce_unknown_is_input_error(capsys):
@@ -386,6 +422,70 @@ def test_condition_section_covers_all_forms(tmp_path):
         parse_scenario_dict({**base, "check": {"condition": "banach"}})
 
 
+def test_booleans_are_not_integers():
+    for field, doc in BOOLEAN_INTEGERS:
+        with pytest.raises(ValidationError) as err:
+            parse_scenario_dict(doc)
+        assert err.value.field == field, doc
+
+
+def test_cli_rejects_non_string_names(tmp_path, capsys):
+    for field, doc in NON_STRING_CHOICES:
+        assert main(["validate", write(tmp_path, "bad.json", doc)]) == 3, doc
+        assert json.loads(capsys.readouterr().out)["error"].startswith(f"{field}: ")
+
+
+def test_cli_flags_are_read_like_document_keys(tmp_path, capsys):
+    base = {
+        "space": {"type": "finite", "points": [1, 2, 3, 4]},
+        "maps": {"T": {"1": "2", "2": "3", "3": "4", "4": "1"}},
+        "solve": {"x0": "1"},
+    }
+    plain = write(tmp_path, "plain.json", base)
+    for flag, key, text, value in (
+        *(("--tol", "tol", text, float(text)) for text in ("nan", "inf", "-1", "0", "1e-6")),
+        *(("--max-iter", "max_iter", text, int(text)) for text in ("0", "-1", "3")),
+        ("--seed", "seed", "-3", -3),
+    ):
+        code = main(["solve", plain, flag, text])
+        from_flag = capsys.readouterr().out
+        keyed = write(tmp_path, "keyed.json", {**base, key: value})
+        assert main(["solve", keyed]) == code, (flag, text)
+        assert capsys.readouterr().out == from_flag, (flag, text)
+
+    # A flag replaces a document value only after that value has been read.
+    keyed = write(tmp_path, "keyed.json", {**base, "tol": -1})
+    assert main(["solve", keyed, "--tol", "0"]) == 3
+    assert json.loads(capsys.readouterr().out)["error"] == "tol: must be >= 0"
+
+
+def test_builtin_scenario_files_carry_the_catalog_entry(tmp_path, capsys):
+    for example in EXAMPLES:
+        path = write(tmp_path, "builtin.json", {"space": {"type": "builtin", "name": example}})
+        parsed = parse_scenario(path).scenario
+        want = builtin_scenario(example)
+        assert (parsed.sigma.name, parsed.sigma.params) == (want.sigma.name, want.sigma.params)
+        for field in ("c", "theorem", "w", "x0"):
+            assert getattr(parsed, field) == getattr(want, field), (example, field)
+
+        main(["theorem", path])
+        out = json.loads(capsys.readouterr().out)
+        report = run_theorem(want)
+        expected = {
+            "hypotheses": [
+                {"name": h.name, "status": h.status.value, "evidence": h.evidence}
+                for h in report.hypotheses
+            ],
+            "conclusion": {
+                "expected": report.conclusion.expected,
+                "observed": report.conclusion.observed,
+                "match": report.conclusion.match,
+                "contradicted": report.conclusion.contradicted,
+            },
+        }
+        assert {key: out[key] for key in expected} == json.loads(render_json(expected)), example
+
+
 def test_cli_solve_budget_exhausted_is_undetermined(tmp_path, capsys):
     path = write(
         tmp_path,
@@ -436,10 +536,14 @@ def test_schema_accepts_what_the_parser_accepts():
         parse_scenario_dict(doc)
         assert validator.is_valid(doc), doc
 
-    rejected = {"space": {"type": "finite", "points": [1, 2], "labels": 5}, "maps": {"T": "identity"}}
-    with pytest.raises(ValidationError):
-        parse_scenario_dict(rejected)
-    assert not validator.is_valid(rejected)
+    rejected = [
+        {"space": {"type": "finite", "points": [1, 2], "labels": 5}, "maps": {"T": "identity"}},
+        *(doc for _, doc in BOOLEAN_INTEGERS + NON_STRING_CHOICES),
+    ]
+    for doc in rejected:
+        with pytest.raises(ValidationError):
+            parse_scenario_dict(doc)
+        assert not validator.is_valid(doc), doc
 
     # Every enumeration in the schema is the package's own list.
     props = schema["properties"]
