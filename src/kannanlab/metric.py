@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Mapping, NamedTuple, Sequence
@@ -81,38 +83,109 @@ def find_violations(
 
     The scan order is fixed (diagonal, symmetry, positivity, triangle;
     indices lexicographic within each kind), so the first entry of the
-    returned list is a deterministic witness.
+    returned list is a deterministic witness.  ``tol`` must be >= 0.
     """
-    return list(_scan(dist, tol))
+    return [MetricViolation(*found) for found in _scan(dist, tol)]
 
 
-def _scan(dist: Sequence[Sequence[float]], tol: float) -> Iterator[MetricViolation]:
-    """Yield the violations of :func:`find_violations` one at a time, in its order."""
+_Found = tuple[ViolationKind, tuple[int, ...], tuple[float, ...]]
+
+
+def _scan(dist: Sequence[Sequence[float]], tol: float) -> Iterator[_Found]:
+    """Yield the violations of :func:`find_violations` one at a time, in its
+    order, as ``(kind, indices, values)`` tuples."""
+    if tol < 0:
+        raise ValueError("tol must be >= 0")
     n = len(dist)
     for i in range(n):
         if abs(dist[i][i]) > tol:
-            yield MetricViolation(ViolationKind.NON_ZERO_DIAGONAL, (i, i), (dist[i][i],))
+            yield ViolationKind.NON_ZERO_DIAGONAL, (i, i), (dist[i][i],)
     for i in range(n):
         for j in range(i + 1, n):
             if abs(dist[i][j] - dist[j][i]) > tol:
-                yield MetricViolation(ViolationKind.ASYMMETRY, (i, j), (dist[i][j], dist[j][i]))
+                yield ViolationKind.ASYMMETRY, (i, j), (dist[i][j], dist[j][i])
     # Positivity is strict: spaces may carry genuinely tiny distances
     # (reciprocal-power points), so no tolerance is applied here.
     for i in range(n):
         for j in range(i + 1, n):
             if dist[i][j] <= 0.0 or dist[j][i] <= 0.0:
-                yield MetricViolation(
-                    ViolationKind.INDISCERNIBLE_PAIR, (i, j), (dist[i][j], dist[j][i])
-                )
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if dist[i][k] > dist[i][j] + dist[j][k] + tol:
-                    yield MetricViolation(
-                        ViolationKind.TRIANGLE_FAILURE,
-                        (i, j, k),
-                        (dist[i][k], dist[i][j], dist[j][k]),
-                    )
+                yield ViolationKind.INDISCERNIBLE_PAIR, (i, j), (dist[i][j], dist[j][i])
+    for i, j, k in _triangle_failures(dist, tol):
+        yield (
+            ViolationKind.TRIANGLE_FAILURE,
+            (i, j, k),
+            (dist[i][k], dist[i][j], dist[j][k]),
+        )
+
+
+def _ascending(values: Sequence[float]) -> list[int]:
+    """Indices of the non-NaN ``values``, in ascending order of value."""
+    return sorted([j for j, v in enumerate(values) if v == v], key=values.__getitem__)
+
+
+def _triangle_failures(
+    dist: Sequence[Sequence[float]], tol: float
+) -> Iterator[tuple[int, int, int]]:
+    """The triples (i, j, k) with ``dist[i][k] > dist[i][j] + dist[j][k] + tol``,
+    in lexicographic order, found by testing only the triples that can fail.
+
+    Write a = d[i][j], b = d[j][k], c = d[i][k].  For any doubles (finite,
+    infinite or NaN) and any ``tol >= 0``, the test cannot fire when
+    ``2*a >= c`` and ``2*b >= c``:
+
+    - NaN: every comparison with NaN is false and NaN propagates through
+      sums, so a NaN among a, b, c, ``tol`` or a partial sum leaves the test
+      false; so does a + b or the sum plus ``tol`` being inf - inf;
+    - otherwise say a <= b.  The computed ``2*a`` is the rounded real a + a
+      (exact unless it overflows), and a + b >= a + a.  Rounding is
+      monotone, an overflow going to +-inf, so fl(a + b) >= ``2*a`` >= c;
+    - adding ``tol >= 0`` cannot lower fl(a + b), by the same monotonicity,
+      so fl(fl(a + b) + tol) >= c.
+
+    Nor can it fire when j = i and d[i][i] >= 0, or j = k and d[k][k] >= 0:
+    then one term is >= 0 and the other is c, and fl(c + x) >= c for x >= 0.
+
+    So a failing triple has j in the *row set* of (i, k), ``2*d[i][j] < c``,
+    or in its *column set*, ``2*d[j][k] < c``, minus those diagonal j.  Each
+    column's indices sorted by distance (without a non-negative diagonal),
+    with their doubles, are built once per table; row i's sorted indices
+    only while that row is scanned.  For each j of row i, the k whose row
+    set holds j are a suffix of the sorted row, found by bisection; for
+    each k, the column set is a prefix of the sorted column.  The
+    unchanged test runs on the union, and the row's hits are sorted by
+    (j, k).  NaN entries stay out of the sorted lists: a triple with one
+    never fails, and NaN would break the order.
+    """
+    columns = []
+    for k, col in enumerate(zip(*dist)):
+        order = _ascending(col)
+        if col[k] >= 0:
+            order.remove(k)
+        twice = array("d", [2 * col[j] for j in order])
+        columns.append((twice[0] if twice else math.inf, order, twice))
+    for i, row in enumerate(dist):
+        order = _ascending(row)
+        values = [row[k] for k in order]
+        twice = [2 * v for v in values]
+        hits = []
+        # Row sets: j is in those of the k after 2*d[i][j] in sorted order.
+        reach = bisect_left(twice, values[-1]) if values else 0
+        for j, t in zip(order[:reach], twice):
+            if j == i and row[i] >= 0:
+                continue
+            a, dj = row[j], dist[j]
+            for k in order[bisect_right(values, t) :]:
+                if row[k] > a + dj[k] + tol:
+                    hits.append((j, k))
+        # Column sets, less the j the row sets already covered.
+        for k, (c, (least, col_order, col_twice)) in enumerate(zip(row, columns)):
+            if least < c:
+                for j in col_order[: bisect_left(col_twice, c)]:
+                    if not 2 * row[j] < c and c > row[j] + dist[j][k] + tol:
+                        hits.append((j, k))
+        hits.sort()
+        for j, k in hits:
+            yield i, j, k
 
 
 @dataclass(frozen=True)
@@ -180,9 +253,9 @@ def build_finite_space(
                 raise ValueError("distances must be finite")
     kept: list[MetricViolation] = []
     total = 0
-    for violation in _scan(table, tol):
+    for found in _scan(table, tol):
         if total < _VIOLATIONS_KEPT:
-            kept.append(violation)
+            kept.append(MetricViolation(*found))
         total += 1
     if total:
         raise MetricInvalid(kept, total)
@@ -252,7 +325,11 @@ def _abs_diff_is_metric(vals: Sequence[float], tol: float) -> bool:
 
 
 def _number_label(v: float) -> str:
-    return str(int(v)) if float(v).is_integer() else repr(v)
+    """The name of the point at value ``v``: an integral value without a
+    fraction part (``1.0`` is ``"1"``), any other by its ``repr``."""
+    if isinstance(v, int):
+        return str(v)
+    return str(int(v)) if v.is_integer() else repr(v)
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ from .metric import (
     FiniteMetricSpace,
     MetricInvalid,
     SelfMap,
+    _number_label,
     build_finite_space,
     build_self_map,
     build_truncated_harmonic_space,
@@ -138,7 +139,8 @@ def parse_scenario_dict(raw: dict, overrides: dict | None = None) -> ScenarioDoc
         section = raw["solve"]
         _require_mapping("solve", section)
         _reject_unknown("solve", section, {"x0"})
-        solve_x0 = _optional_point(space, section.get("x0"), "solve.x0")
+        if "x0" in section:
+            solve_x0 = _point(space, section["x0"], "solve.x0")
 
     c_values: tuple[float, ...] = (1.0,)
     if "classify" in raw:
@@ -196,7 +198,7 @@ def _parse_theorem(section, space: FiniteMetricSpace, default_id: str | None) ->
         fields["c"] = _finite(section["c"], "theorem.c")
     for key in ("x0", "q"):
         if key in section:
-            fields[key] = _optional_point(space, section[key], f"theorem.{key}")
+            fields[key] = _point(space, section[key], f"theorem.{key}")
     return fields
 
 
@@ -290,7 +292,7 @@ def _labels(section: dict, key: str) -> list[str] | None:
         isinstance(v, bool) or not isinstance(v, (str, int, float)) for v in value
     ):
         raise ValidationError(f"space.{key}", "must be a list of strings or numbers")
-    return [str(v) for v in value] or None
+    return [_name(v) for v in value] or None
 
 
 def _parse_map(space: FiniteMetricSpace, entry, field: str) -> SelfMap:
@@ -298,15 +300,22 @@ def _parse_map(space: FiniteMetricSpace, entry, field: str) -> SelfMap:
         return identity_map(space)
     if isinstance(entry, dict) and set(entry) == {"constant"}:
         try:
-            return constant_map(space, entry["constant"])
+            return constant_map(space, _name(entry["constant"]))
         except KeyError:
             raise ValidationError(field, f"constant {entry['constant']!r} not in space") from None
-    if isinstance(entry, (dict, list)):
-        try:
-            return build_self_map(space, entry)
-        except ValueError as e:
-            raise ValidationError(field, str(e)) from None
-    raise ValidationError(field, "must be 'identity', {'constant': label}, a mapping, or a list")
+    if isinstance(entry, dict):
+        entry = {key: _name(v) for key, v in entry.items()}
+    elif isinstance(entry, list):
+        # Integer entries of a positional list are indices, not names.
+        entry = [v if isinstance(v, int) else _name(v) for v in entry]
+    else:
+        raise ValidationError(
+            field, "must be 'identity', {'constant': label}, a mapping, or a list"
+        )
+    try:
+        return build_self_map(space, entry)
+    except ValueError as e:
+        raise ValidationError(field, str(e)) from None
 
 
 def _parse_sigma(section) -> tuple[ComparisonFn, float]:
@@ -364,10 +373,19 @@ def _parse_condition(section, sigma: ComparisonFn | None) -> ConditionSpec:
         raise ValidationError("check", str(e)) from None
 
 
-def _optional_point(space: FiniteMetricSpace, value, field: str) -> str | None:
+def _name(value):
+    """The point name a JSON value gives: a number is named as
+    :func:`space_from_values` names its points (so ``1.0`` is ``"1"``); a
+    string, and anything else, is left as it is."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return _number_label(value)
+    return value
+
+
+def _point(space: FiniteMetricSpace, value, field: str) -> str:
     if value is None:
-        return None
-    label = str(value)
+        raise ValidationError(field, "must be a point label, not null")
+    label = str(_name(value))
     try:
         space.index_of(label)
     except KeyError:

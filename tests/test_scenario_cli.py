@@ -52,6 +52,13 @@ NON_STRING_CHOICES = [
     )
 ]
 
+#: (field, document) pairs giving null where a point belongs.
+NULL_POINTS = [
+    ("theorem.x0", {"space": {"type": "builtin", "name": "koparde-demo"}, "theorem": {"x0": None}}),
+    ("theorem.q", {**_EXPLICIT, "theorem": {"id": "T3.29", "q": None}}),
+    ("solve.x0", {**_EXPLICIT, "solve": {"x0": None}}),
+]
+
 
 def write(tmp_path, name, payload):
     path = tmp_path / name
@@ -422,6 +429,38 @@ def test_condition_section_covers_all_forms(tmp_path):
         parse_scenario_dict({**base, "check": {"condition": "banach"}})
 
 
+def test_numbers_name_points_as_the_space_names_them():
+    base = {"space": {"type": "finite", "points": [1.0, 2.5]}, "maps": {"T": "identity"}}
+    assert parse_scenario_dict({**base, "solve": {"x0": 1.0}}).solve_x0 == "1"
+    theorem = parse_scenario_dict({**base, "theorem": {"id": "T2.2", "x0": 2.5, "q": 1.0}})
+    assert (theorem.scenario.x0, theorem.scenario.q) == ("2.5", "1")
+    for maps, images in (
+        ({"T": {"1": 2.5, "2.5": 1.0}}, (1, 0)),
+        ({"T": {"constant": 1.0}}, (0, 0)),
+        ({"T": [2.5, 1.0]}, (1, 0)),
+        # Integer entries of a positional list stay indices.
+        ({"T": [1, 0], "S": [0, 0]}, (1, 0)),
+    ):
+        assert parse_scenario_dict({**base, "maps": maps}).scenario.t_map.assignment == images
+    table = {"type": "finite", "labels": [1.0, 1e16, 0.5], "dist": [[0, 1, 1], [1, 0, 1], [1, 1, 0]]}
+    doc = parse_scenario_dict({"space": table, "maps": {"T": {"1": 1e16, "10000000000000000": 0.5, "0.5": 1}}})
+    assert doc.scenario.space.labels == ("1", "10000000000000000", "0.5")
+    # A number in a label-to-label object names a point, integers included.
+    assert doc.scenario.t_map.assignment == (1, 2, 0)
+    with pytest.raises(ValidationError) as err:
+        parse_scenario_dict({"space": table, "maps": {"T": {"constant": 2.0}}})
+    assert str(err.value) == "maps.T: constant 2.0 not in space"
+
+
+def test_null_is_not_a_point(tmp_path, capsys):
+    for field, doc in NULL_POINTS:
+        with pytest.raises(ValidationError) as err:
+            parse_scenario_dict(doc)
+        assert err.value.field == field, doc
+        assert main(["solve", write(tmp_path, "null.json", doc)]) == 3
+        assert json.loads(capsys.readouterr().out)["error"].startswith(f"{field}: ")
+
+
 def test_booleans_are_not_integers():
     for field, doc in BOOLEAN_INTEGERS:
         with pytest.raises(ValidationError) as err:
@@ -538,7 +577,7 @@ def test_schema_accepts_what_the_parser_accepts():
 
     rejected = [
         {"space": {"type": "finite", "points": [1, 2], "labels": 5}, "maps": {"T": "identity"}},
-        *(doc for _, doc in BOOLEAN_INTEGERS + NON_STRING_CHOICES),
+        *(doc for _, doc in BOOLEAN_INTEGERS + NON_STRING_CHOICES + NULL_POINTS),
     ]
     for doc in rejected:
         with pytest.raises(ValidationError):
