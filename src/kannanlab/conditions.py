@@ -1,11 +1,15 @@
 """Exhaustive contraction-condition sweeps over finite spaces.
 
-A sweep walks every ordered pair of points in label order, so the first
-violation reported is deterministic.  Pair skipping in the positive mode
-drops pairs whose image distance (raised to the configured degree where
-one applies) is zero within tolerance: the strict comparison forms are not
-satisfiable at such pairs for the linear function families, and the
-convergence arguments only ever invoke the condition on pairs with
+A sweep walks the ordered pairs of points a row at a time, in index order.
+Row i's image distances are built once, the condition's pair test runs
+along the row, and the sweep stops at the first failing pair, so the
+violation reported is the lexicographically first.  The pairs after it are
+counted, not visited: a row's count depends only on the image of its
+point, so it is taken once per distinct image.  Pair skipping in the
+positive mode drops pairs whose image distance (raised to the configured
+degree where one applies) is zero within tolerance: the strict comparison
+forms are not satisfiable at such pairs for the linear function families,
+and the convergence arguments only ever invoke the condition on pairs with
 distinct images.
 """
 
@@ -14,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
 
 from .metric import DEFAULT_TOL, FiniteMetricSpace, SelfMap, require_same_space
 from .sigma import ComparisonFn
@@ -128,7 +131,10 @@ _PAIRINGS = {
 @dataclass(frozen=True)
 class Pairing:
     """One condition's pair terms on one space: every condition compares
-    t = d(ax, ay)^w with s = e(x) + e(y), with ``terms`` holding e raised to w."""
+    t = d(ax, ay)^w with s = e(x) + e(y), with ``terms`` holding e raised to w.
+
+    Sweeps walk it a row at a time: row i is built once by :meth:`t_row`, and
+    a pair's s is ``terms[i] + terms[j]`` in that order."""
 
     space: FiniteMetricSpace
     image: tuple[int, ...]
@@ -141,16 +147,29 @@ class Pairing:
         return [row[b] for b in self.image] if w == 1 else [row[b] ** w for b in self.image]
 
     def pair(self, i: int, j: int) -> tuple[float, float]:
-        t = self.space.dist[self.image[i]][self.image[j]]
-        return t ** self.w, self.terms[i] + self.terms[j]
+        return self.t_row(i)[j], self.terms[i] + self.terms[j]
 
-    def sweep(self, skip_tol: float) -> Iterator[tuple[int, int, float, float]]:
-        """(i, j, t, s) of the ordered pairs in index order, except those with t <= skip_tol."""
-        terms = self.terms
-        for i, ei in enumerate(terms):
-            for j, t in enumerate(self.t_row(i)):
-                if t > skip_tol:
-                    yield i, j, t, ei + terms[j]
+    def checked_after(self, i: int, skip_tol: float) -> int:
+        """How many pairs of the rows after row i have t > skip_tol.
+
+        A row's count depends only on the image of its point, so it is taken
+        once per distinct image, from that image's row.  Both modes count by
+        the same rule as a visited row, so a NaN distance or a power that
+        overflows counts or raises here as it would there.
+        """
+        per_image: dict[int, int] = {}
+        total = 0
+        for k in range(i + 1, len(self.image)):
+            a = self.image[k]
+            if a not in per_image:
+                per_image[a] = _checked(self.t_row(k), skip_tol)
+            total += per_image[a]
+        return total
+
+
+def _checked(row: list[float], skip_tol: float) -> int:
+    """How many pairs of a t row are checked: those with t > skip_tol."""
+    return len([t for t in row if t > skip_tol])
 
 
 def pairing(
@@ -167,25 +186,49 @@ def pairing(
     return Pairing(space, tuple(maps[image]), terms, w)
 
 
-def _failure(spec: ConditionSpec, space: FiniteMetricSpace, s_map: SelfMap | None):
-    """The pair test of ``spec``: a function of (i, j, t, s) that gives None
-    when the pair passes and (value, required alpha) when it fails."""
-    alpha, gamma = spec.alpha, spec.gamma
+def _row_test(spec: ConditionSpec, p: Pairing, s_map: SelfMap | None, skip_tol: float):
+    """The pair test of ``spec`` along one row: a function of (i, row), with
+    row = ``p.t_row(i)``, that gives (j, value, required alpha) for the first
+    j in index order whose pair is checked (t > skip_tol) and fails, or None.
+
+    A sigma is evaluated only on checked pairs, up to the first failure."""
+    terms, alpha, gamma = p.terms, spec.alpha, spec.gamma
     if spec.kind in (ConditionKind.CLASSICAL_KANNAN, ConditionKind.KOPARDE_WAGHMODE):
-        return lambda i, j, t, s: (
-            None if t <= alpha * s else (alpha * s - t, _required_alpha(t, s))
-        )
-    if spec.kind is ConditionKind.MALCESKI:
-        dist = space.dist
-        s_of = range(space.n) if s_map is None else s_map.assignment
 
-        def fails(i, j, t, s):
-            rhs = alpha * s + gamma * dist[s_of[i]][s_of[j]]
-            return None if t <= rhs else (rhs - t, None)
+        def first_failure(i, row):
+            ei = terms[i]
+            for j, t in enumerate(row):
+                if t > skip_tol and not t <= alpha * (ei + terms[j]):
+                    s = ei + terms[j]
+                    return j, alpha * s - t, _required_alpha(t, s)
+            return None
 
-        return fails
-    ev = spec.sigma.eval
-    return lambda i, j, t, s: None if (value := ev(t, s)) > 0.0 else (value, None)
+    elif spec.kind is ConditionKind.MALCESKI:
+        dist = p.space.dist
+        s_of = range(p.space.n) if s_map is None else s_map.assignment
+
+        def first_failure(i, row):
+            ei, ds = terms[i], dist[s_of[i]]
+            for j, t in enumerate(row):
+                if t > skip_tol:
+                    rhs = alpha * (ei + terms[j]) + gamma * ds[s_of[j]]
+                    if not t <= rhs:
+                        return j, rhs - t, None
+            return None
+
+    else:
+        ev = spec.sigma.eval
+
+        def first_failure(i, row):
+            ei = terms[i]
+            for j, t in enumerate(row):
+                if t > skip_tol:
+                    value = ev(t, ei + terms[j])
+                    if not value > 0.0:
+                        return j, value, None
+            return None
+
+    return first_failure
 
 
 def check_condition(
@@ -201,21 +244,24 @@ def check_condition(
     The classical and squared forms compare with <= against the supplied
     alpha; the sigma-driven forms demand a strictly positive value.  The
     classical forms ignore the auxiliary map.  The witness is the first
-    failing pair in lexicographic index order.
+    failing pair in lexicographic index order; the sweep stops there, and
+    the pairs it would have checked after it are counted, not tested.
     """
     skip_tol = tol if mode is PairMode.POSITIVE_PAIRS else -math.inf
-    sweep = pairing(space, t_map, s_map, spec).sweep(skip_tol)
-    fails = _failure(spec, space, s_map)
-    checked = 0
+    p = pairing(space, t_map, s_map, spec)
+    first_failure = _row_test(spec, p, s_map, skip_tol)
     witness: PairWitness | None = None
-    for i, j, t, s in sweep:
-        checked += 1
-        failure = fails(i, j, t, s)
+    checked = 0
+    for i in range(space.n):
+        row = p.t_row(i)
+        checked += _checked(row, skip_tol)
+        failure = first_failure(i, row)
         if failure is not None:
-            witness = PairWitness(space.labels[i], space.labels[j], t, s, *failure)
+            j, value, required = failure
+            s = p.terms[i] + p.terms[j]
+            witness = PairWitness(space.labels[i], space.labels[j], row[j], s, value, required)
+            checked += p.checked_after(i, skip_tol)
             break
-    # The first witness decides the report; the rest of the sweep is counted.
-    checked += sum(1 for _ in sweep)
     return ConditionReport(
         spec.kind, witness is None, checked, space.n * space.n - checked, witness
     )
@@ -244,12 +290,16 @@ def kannan_supremum(space: FiniteMetricSpace, t_map: SelfMap) -> KannanSupremum:
     """
     best = 0.0
     best_pair: tuple[str, str] | None = None
-    classical = ConditionSpec(ConditionKind.CLASSICAL_KANNAN)
-    for i, j, t, s in pairing(space, t_map, None, classical).sweep(0.0):
-        if s == 0.0:
-            return KannanSupremum(math.inf, True, (space.labels[i], space.labels[j]))
-        ratio = t / s
-        if ratio > best:
-            best = ratio
-            best_pair = (space.labels[i], space.labels[j])
+    p = pairing(space, t_map, None, ConditionSpec(ConditionKind.CLASSICAL_KANNAN))
+    terms = p.terms
+    for i, ei in enumerate(terms):
+        for j, t in enumerate(p.t_row(i)):
+            if t > 0.0:
+                s = ei + terms[j]
+                if s == 0.0:
+                    return KannanSupremum(math.inf, True, (space.labels[i], space.labels[j]))
+                ratio = t / s
+                if ratio > best:
+                    best = ratio
+                    best_pair = (space.labels[i], space.labels[j])
     return KannanSupremum(best, False, best_pair)

@@ -277,7 +277,12 @@ def space_from_values(
     if labels is None:
         labels = [_number_label(v) for v in vals]
     names = tuple(str(label) for label in labels)
-    table = tuple(tuple(abs(a - b) for b in vals) for a in vals)
+    rows: list[tuple[float, ...]] = []
+    for i, a in enumerate(vals):
+        # |a - b| and |b - a| are the same double (rounding is odd), so row i
+        # reuses column i of the rows above it: one float object per pair.
+        rows.append(tuple([row[i] for row in rows] + [abs(a - b) for b in vals[i:]]))
+    table = tuple(rows)
     if len(set(names)) == len(names) == len(vals) and _abs_diff_is_metric(vals, tol):
         return FiniteMetricSpace(names, table, tol)
     return build_finite_space(names, table, tol)

@@ -409,7 +409,10 @@ def _finite(value, field: str) -> float:
         raise ValidationError(field, "required")
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(field, "must be a number")
-    out = float(value)
+    try:
+        out = float(value)
+    except OverflowError:  # a JSON integer beyond the double range
+        out = math.inf
     if not math.isfinite(out):
         raise ValidationError(field, "must be finite")
     return out

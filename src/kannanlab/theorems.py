@@ -11,7 +11,6 @@ outcome with the same machinery as confirming ones.
 from __future__ import annotations
 
 import json
-import math
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -637,10 +636,12 @@ def _compute_ex_3_26() -> dict:
     sc = builtin_scenario("ex-3.26")
     space, t_map = sc.space, sc.t_map
     spec = sigma_kannan(sc.sigma)
+    pairs = pairing(space, t_map, None, spec)
     pair_table = [
         {"pair": [space.labels[i], space.labels[j]], "t": t, "bound": 2.0 * s / 3.0}
-        for i, j, t, s in pairing(space, t_map, None, spec).sweep(-math.inf)
-        if i < j
+        for i in range(space.n)
+        for j in range(i + 1, space.n)
+        for t, s in [pairs.pair(i, j)]
     ]
     sweep = check_condition(space, t_map, None, spec, sc.mode)
     sigma1 = check_axiom(sc.sigma, AxiomKind.SIGMA1, seed=sc.seed)

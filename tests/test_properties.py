@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from kannanlab import (
     DEFAULT_TOL,
     AxiomKind,
+    ComparisonFn,
     ConditionKind,
     ConditionReport,
     HypothesisStatus,
@@ -48,7 +49,7 @@ from kannanlab import (
     solve,
     space_from_values,
 )
-from kannanlab import metric, picard, theorems
+from kannanlab import builtins as catalog, metric, picard, theorems
 from kannanlab.report import solve_summary
 from kannanlab.sigma import make_witness
 from kannanlab.theorems import THEOREM_IDS
@@ -348,6 +349,8 @@ SWEEP_SIGMAS = (
 def _sweep_space(shape, n, seed):
     if shape == "sub-tolerance":
         return space_from_values([0.0, 5e-10, 1.0])
+    if shape == "at-tolerance":  # a distance equal to the skip threshold
+        return space_from_values([0.0, DEFAULT_TOL, 1.0])
     space = random_space(n, random.Random(seed))
     if shape == "random":
         return space
@@ -362,15 +365,20 @@ def _sweep_space(shape, n, seed):
 
 @given(
     seed=st.integers(min_value=0, max_value=10_000),
-    n=st.integers(1, 8),
-    shape=st.sampled_from(["random", "asymmetric", "sub-tolerance"]),
+    n=st.sampled_from([*range(1, 9), 20, 30]),
+    shape=st.sampled_from(["random", "asymmetric", "sub-tolerance", "at-tolerance"]),
+    image_size=st.sampled_from([None, 1, 2]),
     data=st.data(),
 )
 @settings(max_examples=150, deadline=None)
-def test_condition_sweeps_match_the_per_pair_restatement(seed, n, shape, data):
+def test_condition_sweeps_match_the_per_pair_restatement(seed, n, shape, image_size, data):
     space = _sweep_space(shape, n, seed)
     n = space.n
     point = st.integers(0, n - 1)
+    if image_size is not None:
+        # T onto at most one or two points: few distinct rows to count.
+        image = data.draw(st.lists(point, min_size=image_size, max_size=image_size), label="image")
+        point = st.sampled_from(image)
     t_map = SelfMap(space, tuple(data.draw(st.lists(point, min_size=n, max_size=n), label="T")))
     s_map = SelfMap(space, tuple(data.draw(st.lists(point, min_size=n, max_size=n), label="S")))
     sigma = data.draw(st.sampled_from(SWEEP_SIGMAS), label="sigma")
@@ -389,6 +397,60 @@ def test_condition_sweeps_match_the_per_pair_restatement(seed, n, shape, data):
                 expected = _reference_sweep(space, t_map, s, spec, mode)
                 assert check_condition(space, t_map, s, spec, mode) == expected, (spec, mode)
     assert kannan_supremum(space, t_map) == _reference_supremum(space, t_map)
+
+
+@pytest.mark.parametrize("n_max", [20, 120])
+@pytest.mark.parametrize("w", [2, 3])
+def test_positive_sweeps_skip_on_the_powered_image_distance(n_max, w):
+    # d^w of the harmonic truncation's 1/n^n points falls below the
+    # tolerance where d does not, and at n_max = 120 it underflows to 0.0.
+    space, t_map, s_map = catalog.harmonic_pair(n_max)
+    spec = s_dominated(gallery("chi", alpha=1 / 3), w)
+    for mode in PairMode:
+        expected = _reference_sweep(space, t_map, s_map, spec, mode)
+        assert check_condition(space, t_map, s_map, spec, mode) == expected, mode
+
+
+def _recording(base, calls):
+    """``base`` with every evaluation's (t, s) appended to ``calls``."""
+
+    def ev(t, s):
+        calls.append((t, s))
+        return base.eval(t, s)
+
+    return ComparisonFn(name="recording", eval=ev)
+
+
+@pytest.mark.parametrize(
+    "make", [sigma_kannan, sigma_s_kannan, lambda sigma: s_dominated(sigma, 2)]
+)
+def test_sigma_is_evaluated_once_per_checked_pair_up_to_the_witness(make):
+    outcomes = set()
+    for seed in range(40):
+        rng = random.Random(seed)
+        space = _sweep_space("sub-tolerance" if seed % 8 == 0 else "random", rng.randint(1, 9), seed)
+        n = space.n
+        t_map = SelfMap(space, tuple(rng.randrange(n) for _ in range(n)))
+        s_map = SelfMap(space, tuple(rng.randrange(n) for _ in range(n)))
+        base = SWEEP_SIGMAS[seed % len(SWEEP_SIGMAS)]
+        for mode in PairMode:
+            calls, reference_calls = [], []
+            report = check_condition(space, t_map, s_map, make(_recording(base, calls)), mode)
+            spec = make(_recording(base, reference_calls))
+            assert report == _reference_sweep(space, t_map, s_map, spec, mode)
+            # The reference evaluates every ordered pair, in index order.
+            checked = [
+                (t, s)
+                for t, s in reference_calls
+                if mode is PairMode.ALL_ORDERED_PAIRS or t > DEFAULT_TOL
+            ]
+            if report.holds:
+                assert calls == checked and len(calls) == report.pairs_checked
+            else:
+                stop = next(k for k, (t, s) in enumerate(checked) if not base.eval(t, s) > 0.0)
+                assert calls == checked[: stop + 1]
+            outcomes.add((mode, report.holds))
+    assert len(outcomes) == 4
 
 
 # Statements whose conclusion is read from a chain of the pair (T, S); the

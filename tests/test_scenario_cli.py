@@ -156,6 +156,18 @@ def test_unknown_keys_and_bad_numbers_rejected():
         )
 
 
+def test_cli_rejects_integers_beyond_the_double_range(tmp_path, capsys):
+    big = 10**400  # written as a 401-digit integer, which float() cannot hold
+    for field, doc in (
+        ("space.points", {"space": {"type": "finite", "points": [1, big]}}),
+        ("space.dist", {"space": {"type": "finite", "labels": ["a", "b"], "dist": [[0, big], [big, 0]]}}),
+        ("tol", {"space": {"type": "finite", "points": [1, 2]}, "tol": big}),
+    ):
+        doc["maps"] = {"T": "identity"}
+        assert main(["validate", write(tmp_path, "big.json", doc)]) == 3, field
+        assert json.loads(capsys.readouterr().out)["error"] == f"{field}: must be finite"
+
+
 def test_parse_error_carries_position(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"space": }')
