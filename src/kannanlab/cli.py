@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .conditions import PairMode, check_condition
+from .conditions import PairMode, PowerOverflow, check_condition
 from .metric import MetricInvalid
 from .picard import NoClrBase, SolveKind, diagnose, solve
 from .report import (
@@ -78,6 +78,7 @@ def main(argv=None) -> int:
         ValidationError,
         MalformedScenario,
         UnknownExample,
+        PowerOverflow,
         FileNotFoundError,
     ) as e:
         body = {"error": str(e)}

@@ -1,21 +1,20 @@
 """Exhaustive contraction-condition sweeps over finite spaces.
 
-A sweep walks the ordered pairs of points a row at a time, in index order.
-Row i's image distances are built once, the condition's pair test runs
-along the row, and the sweep stops at the first failing pair, so the
-violation reported is the lexicographically first.  The pairs after it are
-counted, not visited: a row's count depends only on the image of its
-point, so it is taken once per distinct image.  Pair skipping in the
-positive mode drops pairs whose image distance (raised to the configured
-degree where one applies) is zero within tolerance: the strict comparison
-forms are not satisfiable at such pairs for the linear function families,
-and the convergence arguments only ever invoke the condition on pairs with
-distinct images.
+A sweep searches the ordered pairs a row at a time, in index order, and
+stops at the first failing pair, so the violation reported is the
+lexicographically first.  Whether a pair is checked depends only on its two
+images, so the checked pairs are counted once per image pair, apart from
+the search.  Pair skipping in the positive mode drops pairs whose image
+distance (raised to the configured degree where one applies) is zero
+within tolerance: the strict comparison forms are not satisfiable at such
+pairs for the linear function families, and the convergence arguments only
+ever invoke the condition on pairs with distinct images.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
@@ -128,13 +127,25 @@ _PAIRINGS = {
 }
 
 
+class PowerOverflow(ValueError):
+    """A distance raised to the condition's degree w is beyond the double range."""
+
+    def __init__(self, w: int):
+        super().__init__(f"a distance raised to w = {w} overflows a double")
+
+
+def _powered(row, indices, w: int) -> list[float]:
+    """``row[b] ** w`` for b in ``indices`` (w = 1 skips the power)."""
+    try:
+        return [row[b] for b in indices] if w == 1 else [row[b] ** w for b in indices]
+    except OverflowError:
+        raise PowerOverflow(w) from None
+
+
 @dataclass(frozen=True)
 class Pairing:
     """One condition's pair terms on one space: every condition compares
-    t = d(ax, ay)^w with s = e(x) + e(y), with ``terms`` holding e raised to w.
-
-    Sweeps walk it a row at a time: row i is built once by :meth:`t_row`, and
-    a pair's s is ``terms[i] + terms[j]`` in that order."""
+    t = d(ax, ay)^w with s = ``terms[x] + terms[y]``, ``terms`` holding e(x)^w."""
 
     space: FiniteMetricSpace
     image: tuple[int, ...]
@@ -142,34 +153,21 @@ class Pairing:
     w: int
 
     def t_row(self, i: int) -> list[float]:
-        """t of the pairs (i, j), j in index order (w = 1 skips the power)."""
-        row, w = self.space.dist[self.image[i]], self.w
-        return [row[b] for b in self.image] if w == 1 else [row[b] ** w for b in self.image]
+        """t of the pairs (i, j), j in index order."""
+        return _powered(self.space.dist[self.image[i]], self.image, self.w)
 
     def pair(self, i: int, j: int) -> tuple[float, float]:
         return self.t_row(i)[j], self.terms[i] + self.terms[j]
 
-    def checked_after(self, i: int, skip_tol: float) -> int:
-        """How many pairs of the rows after row i have t > skip_tol.
-
-        A row's count depends only on the image of its point, so it is taken
-        once per distinct image, from that image's row.  Both modes count by
-        the same rule as a visited row, so a NaN distance or a power that
-        overflows counts or raises here as it would there.
-        """
-        per_image: dict[int, int] = {}
-        total = 0
-        for k in range(i + 1, len(self.image)):
-            a = self.image[k]
-            if a not in per_image:
-                per_image[a] = _checked(self.t_row(k), skip_tol)
-            total += per_image[a]
-        return total
-
-
-def _checked(row: list[float], skip_tol: float) -> int:
-    """How many pairs of a t row are checked: those with t > skip_tol."""
-    return len([t for t in row if t > skip_tol])
+    def checked(self, skip_tol: float) -> int:
+        """How many ordered pairs have t > skip_tol (a NaN t does not): each
+        image pair (a, b) is tested once and counts k_a * k_b times, with k_a
+        the number of points whose image is a."""
+        k, dist, w = Counter(self.image), self.space.dist, self.w
+        return sum(
+            ka * sum([kb for t, kb in zip(_powered(dist[a], k, w), k.values()) if t > skip_tol])
+            for a, ka in k.items()
+        )
 
 
 def pairing(
@@ -182,7 +180,10 @@ def pairing(
     maps = {"x": range(n), "T": t_of, "S": s_of, "ST": tuple(s_of[v] for v in t_of)}
     image, left, right, w = _PAIRINGS[spec.kind]
     w = w or spec.w or 1
-    terms = tuple(dist[a][b] ** w for a, b in zip(maps[left], maps[right]))
+    try:
+        terms = tuple(dist[a][b] ** w for a, b in zip(maps[left], maps[right]))
+    except OverflowError:
+        raise PowerOverflow(w) from None
     return Pairing(space, tuple(maps[image]), terms, w)
 
 
@@ -244,24 +245,22 @@ def check_condition(
     The classical and squared forms compare with <= against the supplied
     alpha; the sigma-driven forms demand a strictly positive value.  The
     classical forms ignore the auxiliary map.  The witness is the first
-    failing pair in lexicographic index order; the sweep stops there, and
-    the pairs it would have checked after it are counted, not tested.
+    failing pair in lexicographic index order; the search stops there, and
+    :meth:`Pairing.checked` counts the checked pairs, reached or not.
     """
     skip_tol = tol if mode is PairMode.POSITIVE_PAIRS else -math.inf
     p = pairing(space, t_map, s_map, spec)
     first_failure = _row_test(spec, p, s_map, skip_tol)
     witness: PairWitness | None = None
-    checked = 0
     for i in range(space.n):
         row = p.t_row(i)
-        checked += _checked(row, skip_tol)
         failure = first_failure(i, row)
         if failure is not None:
             j, value, required = failure
             s = p.terms[i] + p.terms[j]
             witness = PairWitness(space.labels[i], space.labels[j], row[j], s, value, required)
-            checked += p.checked_after(i, skip_tol)
             break
+    checked = p.checked(skip_tol)
     return ConditionReport(
         spec.kind, witness is None, checked, space.n * space.n - checked, witness
     )

@@ -4,7 +4,9 @@ A scenario document carries a space (explicit, truncated-harmonic, or a
 builtin catalog name), the operator pair, an optional comparison function,
 and per-command sections.  Unknown keys are rejected and every numeric
 field must be finite, so a scenario that parses is fully resolved: all
-gallery names exist and all parameters are in range.
+gallery names exist and each parameter is in range for its own section.
+A theorem checks the alpha it takes (``theorem.alpha``, or the sigma's
+alpha or slope) when it runs, and raises ``MalformedScenario`` if refused.
 """
 
 from __future__ import annotations
@@ -195,7 +197,7 @@ def _parse_theorem(section, space: FiniteMetricSpace, default_id: str | None) ->
     if "alpha" in section:
         fields["alpha"] = _finite(section["alpha"], "theorem.alpha")
     if "c" in section:
-        fields["c"] = _finite(section["c"], "theorem.c")
+        fields["c"] = _c(section["c"], "theorem.c")
     for key in ("x0", "q"):
         if key in section:
             fields[key] = _point(space, section[key], f"theorem.{key}")
@@ -333,10 +335,15 @@ def _parse_sigma(section) -> tuple[ComparisonFn, float]:
         fn = gallery(name, **params)
     except (UnknownGallery, MissingParam, ParamOutOfRange) as e:
         raise ValidationError("sigma", str(e)) from None
-    c = _finite(section.get("c", 1.0), "sigma.c")
+    return fn, _c(section.get("c", 1.0), "sigma.c")
+
+
+def _c(value, field: str) -> float:
+    """A sigma_c class constant: a finite number > 0."""
+    c = _finite(value, field)
     if c <= 0:
-        raise ValidationError("sigma.c", "must be > 0")
-    return fn, c
+        raise ValidationError(field, "must be > 0")
+    return c
 
 
 def _parse_condition(section, sigma: ComparisonFn | None) -> ConditionSpec:

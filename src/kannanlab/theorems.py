@@ -173,13 +173,20 @@ def _sweep(
     """A condition sweep, kept in the run under its hypothesis name.
 
     A name that depends on the scenario is built before the spec, so a
-    missing field is reported in reading order.
+    missing field is reported in reading order.  A parameter the spec's
+    constructor refuses, or a power beyond the double range, makes the
+    scenario malformed, with the refusal's message.
     """
 
     def build(run: _Run) -> Hypothesis:
         sc = run.sc
         label = name if isinstance(name, str) else name(sc)
-        report = check_condition(sc.space, sc.t_map, sc.s_map, spec(sc), sc.mode, sc.tol)
+        try:
+            report = check_condition(sc.space, sc.t_map, sc.s_map, spec(sc), sc.mode, sc.tol)
+        except MalformedScenario:
+            raise
+        except ValueError as e:
+            raise MalformedScenario(f"theorem {sc.theorem}: {e}") from None
         run.sweeps[label] = report
         if report.holds:
             evidence = f"holds on {report.pairs_checked} pairs ({report.pairs_skipped} skipped)"

@@ -25,6 +25,7 @@ from kannanlab import (
     solve,
     SelfMap,
 )
+from kannanlab.conditions import PowerOverflow, pairing
 
 
 def test_classical_fails_on_five_point_for_every_alpha(five_point):
@@ -260,3 +261,21 @@ def test_report_symmetry_in_the_pair():
                     t_map.assignment[i], s_map.assignment[i]
                 )
                 assert t_ij == t_ji and s_ij == s_ji
+
+
+def test_a_power_beyond_the_double_range_raises_from_the_count():
+    # Row 0's squares (0 and 1e308) are finite and its pair (0, -1e154)
+    # fails, so the search stops there; only the count reaches
+    # d(-1e154, 1e154)^2 = 4e308.
+    space = build_finite_space(
+        ["0", "-1e154", "1e154"], [[0.0, 1e154, 1e154], [1e154, 0.0, 2e154], [1e154, 2e154, 0.0]]
+    )
+    spec = s_dominated(gallery("tau"), 2)
+    p = pairing(space, identity_map(space), None, spec)
+    assert p.t_row(0) == [0.0, 1e308, 1e308]
+    assert not spec.sigma.eval(1e308, p.terms[0] + p.terms[1]) > 0.0
+    with pytest.raises(PowerOverflow, match="w = 2"):
+        p.t_row(1)
+    for mode in PairMode:
+        with pytest.raises(PowerOverflow, match="w = 2"):
+            check_condition(space, identity_map(space), None, spec, mode)

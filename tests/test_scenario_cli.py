@@ -358,6 +358,38 @@ def test_cli_theorem_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_theorem_constants_out_of_range_are_input_errors(tmp_path, capsys):
+    line = {"space": {"type": "finite", "points": [0, 1, 3]}, "maps": {"T": {"constant": 0}}}
+    for doc, message in (
+        ({**line, "theorem": {"id": "T2.1", "alpha": 0.7}}, "theorem T2.1: classical condition"),
+        ({**line, "theorem": {"id": "C3.31", "alpha": -1}}, "theorem C3.31: squared condition"),
+        # C3.32 takes the linear function's slope as its alpha.
+        (
+            {**line, "sigma": {"name": "linear", "slope": 1.2}, "theorem": {"id": "C3.32"}},
+            "theorem C3.32: malceski condition",
+        ),
+        ({**line, "sigma": {"name": "tau"}, "theorem": {"id": "T3.18", "c": -1}}, "theorem.c: must be > 0"),
+    ):
+        assert main(["theorem", write(tmp_path, "bad.json", doc)]) == 3, doc
+        assert json.loads(capsys.readouterr().out)["error"].startswith(message)
+
+
+def test_cli_power_beyond_the_double_range_is_input_error(tmp_path, capsys):
+    # d(0, 1e200)^2 overflows a double: the s-dominated terms cannot be formed.
+    doc = {
+        "space": {"type": "finite", "points": [0, 1e200, 2e200]},
+        "maps": {"T": {"constant": 0}},
+        "sigma": {"name": "tau"},
+    }
+    for command, section, prefix in (
+        ("check", {"check": {"condition": "s-dominated", "w": 2}}, ""),
+        ("theorem", {"theorem": {"id": "T3.29", "w": 2}}, "theorem T3.29: "),
+    ):
+        assert main([command, write(tmp_path, "big.json", {**doc, **section})]) == 3, command
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error == f"{prefix}a distance raised to w = 2 overflows a double"
+
+
 def test_cli_classify_and_determinism(tmp_path, capsys):
     path = write(
         tmp_path,
@@ -589,6 +621,7 @@ def test_schema_accepts_what_the_parser_accepts():
 
     rejected = [
         {"space": {"type": "finite", "points": [1, 2], "labels": 5}, "maps": {"T": "identity"}},
+        {**_EXPLICIT, "theorem": {"id": "T3.18", "c": 0}},
         *(doc for _, doc in BOOLEAN_INTEGERS + NON_STRING_CHOICES + NULL_POINTS),
     ]
     for doc in rejected:

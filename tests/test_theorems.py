@@ -170,6 +170,23 @@ def test_missing_fields_raise_malformed():
                 theorem="nope",
             )
         )
+    # An alpha the statement's condition refuses: given, or read from the sigma.
+    for theorem, alpha, sigma, refusal in (
+        ("T2.1", 0.7, None, "classical condition"),
+        ("C3.31", -1.0, None, "squared condition"),
+        ("C3.32", None, gallery("linear", slope=1.2), "malceski condition"),
+    ):
+        with pytest.raises(MalformedScenario, match=f"theorem {theorem}: {refusal}"):
+            check_hypotheses(
+                Scenario(
+                    space=space,
+                    t_map=identity_map(space),
+                    s_map=identity_map(space),
+                    sigma=sigma,
+                    theorem=theorem,
+                    alpha=alpha,
+                )
+            )
 
 
 def test_conclusion_is_independent_of_hypothesis_outcomes():
