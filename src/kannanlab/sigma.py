@@ -168,10 +168,11 @@ class ComparisonFn:
     """A named two-argument real function with its analytic metadata.
 
     ``eval`` must be total and deterministic on [0, inf) x [0, inf).
-    ``analytic_certificates`` lists parameterless axioms known to hold in
-    closed form; the limit-ratio axiom carries its own certified interval
-    because it is parameterized.  ``declared_c_range`` records the
-    advertised membership interval for the sigma-class, when any.
+    ``analytic_certificates`` holds ``(kind, reason)`` pairs: each
+    parameterless axiom known to hold in closed form, with why it holds; the
+    limit-ratio axiom carries its own certified interval because it is
+    parameterized.  ``declared_c_range`` records the advertised membership
+    interval for the sigma-class, when any.
     """
 
     name: str
@@ -181,7 +182,6 @@ class ComparisonFn:
     analytic_certificates: frozenset = frozenset()
     sigma2_certificate: Interval | None = None
     handles: tuple[tuple[str, Callable[[float], float]], ...] = ()
-    notes: str = ""
 
     def param(self, key: str, default: float | None = None) -> float | None:
         return dict(self.params).get(key, default)
@@ -204,7 +204,8 @@ def _half_on_positive(t: float) -> float:
 
 
 def _reciprocal_decay(t: float) -> float:
-    return 1.0 / (1.0 + t)
+    # g(0) = 0 keeps the range inside [0, 1); eval reads g(s) only times s.
+    return 1.0 / (1.0 + t) if t > 0 else 0.0
 
 
 def _identity_fn(t: float) -> float:
@@ -212,20 +213,15 @@ def _identity_fn(t: float) -> float:
 
 
 def _make_linear(name: str, slope: float, declared: Interval | None) -> ComparisonFn:
-    certs = {AxiomKind.DOLLAR}
-    notes = ""
-    if slope < 0.5:
-        certs.add(AxiomKind.SIGMA1)
-        ratio = slope / (1.0 - slope)
-        notes = f"positivity along consecutive-sum pairs forces a_n < {ratio:.12g} * a_(n-1)"
+    certs = {AxiomKind.DOLLAR: f"closed form of {slope:.12g} * s - t"}
     if slope < 1.0:
-        certs |= {
-            AxiomKind.UPPER_BOUND,
-            AxiomKind.ZETA3,
-            AxiomKind.ETA2,
-            AxiomKind.RHO1,
-            AxiomKind.RHO2,
-        }
+        kinds = AxiomKind.UPPER_BOUND, AxiomKind.ZETA3, AxiomKind.ETA2, AxiomKind.RHO1, AxiomKind.RHO2
+        certs |= dict.fromkeys(kinds, certs[AxiomKind.DOLLAR])
+    if slope < 0.5:
+        ratio = slope / (1.0 - slope)
+        certs[AxiomKind.SIGMA1] = (
+            f"positivity along consecutive-sum pairs forces a_n < {ratio:.12g} * a_(n-1)"
+        )
 
     def evaluate(t: float, s: float, a: float = slope) -> float:
         return a * s - t
@@ -235,9 +231,8 @@ def _make_linear(name: str, slope: float, declared: Interval | None) -> Comparis
         eval=evaluate,
         params=(("slope", slope),),
         declared_c_range=declared,
-        analytic_certificates=frozenset(certs),
+        analytic_certificates=frozenset(certs.items()),
         sigma2_certificate=Interval(0.0, 1.0 / slope),
-        notes=notes,
     )
 
 
@@ -260,7 +255,7 @@ def gallery(name: str, **params) -> ComparisonFn:
     Step functions and the piecewise average need no parameters; the linear
     families need ``alpha`` (or ``slope`` for the raw linear form); the
     theta variants additionally accept a unary handle (``pi_fn``, ``g_fn``,
-    ``l_fn``) with sensible defaults.
+    ``l_fn``) with sensible defaults.  A custom handle carries no certificate.
     """
     if name not in GALLERY_NAMES:
         raise UnknownGallery(f"unknown gallery member {name!r}")
@@ -277,9 +272,11 @@ def _build_gamma(params: dict) -> ComparisonFn:
         name="gamma",
         eval=evaluate,
         declared_c_range=Interval(0.0, 3.0),
-        analytic_certificates=frozenset({AxiomKind.SIGMA1, AxiomKind.DOLLAR}),
+        analytic_certificates=frozenset({
+            (AxiomKind.SIGMA1, "positivity along consecutive-sum pairs forces a_n < a_(n-1) / 2"),
+            (AxiomKind.DOLLAR, "positivity forces t < s / 3"),
+        }),
         sigma2_certificate=Interval(0.0, 3.0),
-        notes="positivity along consecutive-sum pairs forces a_n < a_(n-1) / 2",
     )
 
 
@@ -290,13 +287,13 @@ def _build_beta(params: dict) -> ComparisonFn:
 
 def _make_step(name: str, params: dict, evaluate: Callable[[float, float], float]) -> ComparisonFn:
     _reject_extras(name, params)
+    vacuous = "first axiom is vacuous: consecutive-sum pairs always evaluate to -1"
     return ComparisonFn(
         name=name,
         eval=evaluate,
         declared_c_range=Interval(1.0, float("inf")),
-        analytic_certificates=frozenset({AxiomKind.SIGMA1}),
+        analytic_certificates=frozenset({(AxiomKind.SIGMA1, vacuous)}),
         sigma2_certificate=Interval(1.0, float("inf")),
-        notes="first axiom is vacuous: consecutive-sum pairs always evaluate to -1",
     )
 
 
@@ -323,68 +320,71 @@ def _build_tau(params: dict) -> ComparisonFn:
     _reject_extras("tau", params)
     # Membership fails on the first axiom, but the limit-ratio axiom holds
     # up to c = 3/2 in closed form.
-    return replace(_make_linear("tau", 2.0 / 3.0, None), sigma2_certificate=Interval(0.0, 1.5))
+    return _make_linear("tau", 2.0 / 3.0, None)
 
 
 def _make_theta(
     name: str,
     params: dict,
     key: str,
-    handle,
-    shape: Callable[..., Callable[[float, float], float]],
-    default: tuple[Callable[[float], float], AxiomKind] | None = None,
+    default: Callable[[float], float],
+    own: dict[AxiomKind, str],
+    shape: Callable[..., Callable[[float, float], float]] = lambda a, h: lambda t, s: a * h(s) - t,
     closed: bool = False,
-    notes: str = "",
 ) -> ComparisonFn:
-    """A theta variant whose eval is ``shape(alpha, handle)``.
+    """A theta variant whose eval is ``shape(alpha, handle)``, for the handle
+    passed as ``<key>_fn`` or else ``default``; ``closed`` admits alpha = 1/2.
 
-    ``default`` is the handle used, with the axiom it certifies, when the
-    caller passes none; ``closed`` admits alpha = 1/2.
+    If f <= g on [0, inf)^2, f inherits each certificate of g:
+    - upper bound: f(t, s) <= g(t, s) < s - t;
+    - zeta3, eta2: the limsups of f and of (t + f) / s are at most g's;
+    - sigma1, $, rho1: positivity of f along a sequence is positivity of g,
+      which forces the limit g's certificate names;
+    - sigma2, rho2: positivity of f would be positivity of g, ruled out.
+    Under the handle contract (pi(s) <= s; g <= 1; l(s) <= s) the variants
+    lie below linear(alpha): alpha * pi(s) - t <= alpha * s - t, alpha *
+    g(s) * s - t <= alpha * s - t, and likewise for l.  So the default
+    handle inherits linear(alpha)'s certificates and sigma2 interval, plus
+    the ``own`` (axiom -> reason) ones; ``closed`` closes the interval at
+    1/alpha.  A custom handle's contract is unchecked: it gets no
+    certificate, so every axiom is searched.
     """
     in_range = (lambda a: 0.0 < a <= 0.5) if closed else (lambda a: 0.0 < a < 0.5)
+    handle = params.pop(f"{key}_fn", None)
+    handle = default if handle is None else handle
     alpha = _param(params, name, "alpha", in_range, f"0 < alpha {'<=' if closed else '<'} 1/2")
-    certs = {AxiomKind.SIGMA1, AxiomKind.DOLLAR}
-    if handle is None and default is not None:
-        handle, certified = default
-        certs.add(certified)
     if not callable(handle):
         raise ParamOutOfRange(f"{key}_fn must be callable")
-    return ComparisonFn(
-        name=name,
+    linear = _make_linear(name, alpha, Interval(1.0, 2.0, lo_open=False, hi_open=False))
+    ours = handle is default
+    reason = f"dominated by linear({alpha:.12g})"
+    inherited = dict.fromkeys(dict(linear.analytic_certificates), reason)
+    return replace(
+        linear,
         eval=shape(alpha, handle),
         params=(("alpha", alpha),),
-        declared_c_range=Interval(1.0, 2.0, lo_open=False, hi_open=False),
-        analytic_certificates=frozenset(certs),
-        sigma2_certificate=Interval(0.0, 1.0 / alpha, hi_open=not closed),
+        analytic_certificates=frozenset((own | inherited).items() if ours else ()),
+        sigma2_certificate=Interval(0.0, 1.0 / alpha, hi_open=not closed) if ours else None,
         handles=((key, handle),),
-        notes=notes,
     )
 
 
 def _build_theta_pi(params: dict) -> ComparisonFn:
-    pi_fn = params.pop("pi_fn", _half)
-    return _make_theta(
-        "theta-pi", params, "pi", pi_fn, lambda a, pi: lambda t, s: a * pi(s) - t,
-        notes="handle contract: pi(t) <= t on [0, inf)",
-    )
+    return _make_theta("theta-pi", params, "pi", _half, {})
 
 
 def _build_theta_geraghty(params: dict) -> ComparisonFn:
-    g_fn = params.pop("g_fn", None)
+    # g < 1 off 0 gives sigma1 even at alpha = 1/2: a limit L > 0 would need g(2L) = 1.
+    own = dict.fromkeys((AxiomKind.GERAGHTY, AxiomKind.SIGMA1), "g(t) = 1 / (1 + t), g(0) = 0")
     return _make_theta(
-        "theta-geraghty", params, "g", g_fn, lambda a, g: lambda t, s: a * g(s) * s - t,
-        default=(_reciprocal_decay, AxiomKind.GERAGHTY),
-        closed=True,
-        notes="handle contract: g maps [0, inf) into [0, 1)",
+        "theta-geraghty", params, "g", _reciprocal_decay, own,
+        lambda a, g: lambda t, s: a * g(s) * s - t, closed=True,
     )
 
 
 def _build_theta_l(params: dict) -> ComparisonFn:
-    l_fn = params.pop("l_fn", None)
-    return _make_theta(
-        "theta-l", params, "l", l_fn, lambda a, l: lambda t, s: a * l(s) - t,
-        default=(_half_on_positive, AxiomKind.L_FUNCTION),
-    )
+    own = {AxiomKind.L_FUNCTION: "l(t) = t / 2 for t > 0, l(0) = 0"}
+    return _make_theta("theta-l", params, "l", _half_on_positive, own)
 
 
 def _build_psi_phi(params: dict) -> ComparisonFn:
@@ -397,14 +397,14 @@ def _build_psi_phi(params: dict) -> ComparisonFn:
     def evaluate(t: float, s: float) -> float:
         return psi_fn(s) - phi_fn(t)
 
+    # Only the default handles are known to meet psi(t) < t <= phi(t).
+    ours = psi_fn is _half and phi_fn is _identity_fn
+    kinds = (AxiomKind.UPPER_BOUND, AxiomKind.ZETA3, AxiomKind.DOLLAR) if ours else ()
     return ComparisonFn(
         name="psi-phi",
         eval=evaluate,
-        analytic_certificates=frozenset(
-            {AxiomKind.UPPER_BOUND, AxiomKind.ZETA3, AxiomKind.DOLLAR}
-        ),
+        analytic_certificates=frozenset((kind, "psi(t) = t / 2 < t = phi(t)") for kind in kinds),
         handles=(("psi", psi_fn), ("phi", phi_fn)),
-        notes="handle contract: psi, phi continuous, zero only at 0, psi(t) < t <= phi(t)",
     )
 
 
@@ -790,8 +790,8 @@ def check_axiom(
             certified = "vacuously true for c < 1: no positive limit satisfies c*L >= L"
         elif fn.sigma2_certificate is not None and fn.sigma2_certificate.contains(c):
             certified = f"certified for c in {fn.sigma2_certificate.describe()}"
-    elif kind in fn.analytic_certificates:
-        certified = fn.notes
+    else:
+        certified = dict(fn.analytic_certificates).get(kind)
     if certified is not None:
         return AxiomVerdict(kind, Outcome.CERTIFIED_HOLDS, detail=certified)
 

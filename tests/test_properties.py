@@ -51,7 +51,7 @@ from kannanlab import (
 )
 from kannanlab import builtins as catalog, metric, picard, theorems
 from kannanlab.report import solve_summary
-from kannanlab.sigma import make_witness
+from kannanlab.sigma import DEFAULT_BUDGET, make_witness
 from kannanlab.theorems import THEOREM_IDS
 from scan_oracle import built, expected_space
 
@@ -213,6 +213,60 @@ def test_every_falsified_verdict_replays():
                     assert replay_witness(fn, kind, verdict.witness, c=c), (fn.name, kind, c)
                     replayed.add(kind)
     assert replayed == set(AxiomKind)
+
+
+#: Every gallery member with the package's own handles, with parameters on
+#: both sides of the slope thresholds (1/2 for sigma1, 1 for the rest).
+DEFAULT_MEMBERS = (
+    gallery("gamma"),
+    gallery("beta"),
+    gallery("step-g"),
+    gallery("step-omega"),
+    gallery("chi", alpha=0.4),
+    gallery("theta-pi", alpha=0.4),
+    gallery("theta-geraghty", alpha=0.3),
+    gallery("theta-geraghty", alpha=0.5),
+    gallery("theta-l", alpha=0.4),
+    gallery("tau"),
+    gallery("psi-phi"),
+    gallery("linear", slope=0.3),
+    gallery("linear", slope=0.8),
+    gallery("linear", slope=1.5),
+)
+
+
+def test_no_certificate_is_refuted_by_the_falsifier():
+    # With its certificates stripped, the search must find no witness
+    # against any axiom the member certifies.
+    certified = set()
+    for fn in DEFAULT_MEMBERS:
+        bare = replace(fn, analytic_certificates=frozenset(), sigma2_certificate=None)
+        for kind in AxiomKind:
+            for c in (1.0, 2.0, 3.0) if kind is AxiomKind.SIGMA2 else (1.0,):
+                if check_axiom(fn, kind, c=c).outcome is not Outcome.CERTIFIED_HOLDS:
+                    continue
+                certified.add(kind)
+                for seed in (0, 1, 2):
+                    verdict = check_axiom(bare, kind, c=c, budget=DEFAULT_BUDGET, seed=seed)
+                    assert verdict.outcome is not Outcome.FALSIFIED, (
+                        fn.name, fn.params, kind, c, seed, verdict.detail
+                    )
+    assert certified == set(AxiomKind)
+
+
+def test_custom_handles_are_searched_not_certified():
+    # Each handle breaks its member's contract; the search finds the
+    # counterexamples a certificate would have hidden.
+    cells = (
+        (gallery("theta-pi", alpha=0.4, pi_fn=lambda t: 2.0 * t), AxiomKind.SIGMA1, 1.0),
+        (gallery("theta-pi", alpha=0.4, pi_fn=lambda t: 2.0 * t), AxiomKind.SIGMA2, 2.0),
+        (gallery("psi-phi", psi_fn=lambda t: 2.0 * t, phi_fn=lambda t: t), AxiomKind.UPPER_BOUND, 1.0),
+        (gallery("psi-phi", psi_fn=lambda t: 2.0 * t, phi_fn=lambda t: t), AxiomKind.ZETA3, 1.0),
+    )
+    for fn, kind, c in cells:
+        verdict = check_axiom(fn, kind, c=c)
+        assert verdict.outcome is Outcome.FALSIFIED, (fn.name, kind, c)
+        assert replay_witness(fn, kind, verdict.witness, c=c), (fn.name, kind, c)
 
 
 def test_replay_rejects_non_witnesses_of_handle_axioms():

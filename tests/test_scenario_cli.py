@@ -411,6 +411,26 @@ def test_cli_classify_and_determinism(tmp_path, capsys):
     assert doc["classes"]["sigma-c(1)"]["outcome"] == "certified-holds"
 
 
+def test_cli_classify_certifies_theta_members_by_dominance(tmp_path, capsys):
+    path = write(
+        tmp_path,
+        "theta.json",
+        {
+            "space": {"type": "finite", "points": [1, 2]},
+            "maps": {"T": "identity"},
+            "sigma": {"name": "theta-pi", "alpha": 0.4},
+            "classify": {"c_values": [1.0, 3.0]},
+        },
+    )
+    code = main(["classify", path])
+    classes = json.loads(capsys.readouterr().out)["classes"]
+    for name in ("simulation", "manageable", "r-function", "dollar", "sigma-c(1)"):
+        assert classes[name]["outcome"] == "certified-holds", name
+    # sigma2 at c = 3 > 1 / alpha lies outside linear(0.4)'s interval.
+    assert classes["sigma-c(3)"]["outcome"] == "undetermined"
+    assert code == 2
+
+
 def test_cli_out_file_and_text_format(tmp_path, capsys):
     path = write(
         tmp_path,

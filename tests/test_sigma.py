@@ -224,3 +224,35 @@ def test_theta_pi_default_handle_halves_the_second_argument():
     # alpha * pi(s) - t with pi(s) = s/2
     assert abs(fn.eval(1.0, 10.0) - (0.4 * 5.0 - 1.0)) < 1e-15
     assert check_axiom(fn, AxiomKind.SIGMA1).outcome is Outcome.CERTIFIED_HOLDS
+
+
+def test_theta_members_inherit_the_certificates_of_linear_alpha():
+    # alpha * pi(s) - t, alpha * g(s) * s - t and alpha * l(s) - t all lie
+    # below alpha * s - t, whose closed-form certificates carry over.
+    for name in ("theta-pi", "theta-geraghty", "theta-l"):
+        fn = gallery(name, alpha=0.4)
+        for kind in (
+            AxiomKind.UPPER_BOUND,
+            AxiomKind.ZETA3,
+            AxiomKind.ETA2,
+            AxiomKind.RHO1,
+            AxiomKind.RHO2,
+        ):
+            verdict = check_axiom(fn, kind)
+            assert verdict.outcome is Outcome.CERTIFIED_HOLDS, (name, kind)
+            assert verdict.budget_used == 0
+            assert verdict.detail == "dominated by linear(0.4)"
+    # linear(1/2) certifies no sigma1; the Geraghty variant keeps its own.
+    half = gallery("theta-geraghty", alpha=0.5)
+    sigma1 = check_axiom(half, AxiomKind.SIGMA1)
+    assert sigma1.outcome is Outcome.CERTIFIED_HOLDS
+    assert "dominated" not in sigma1.detail
+    assert check_axiom(half, AxiomKind.SIGMA2, c=2.0).outcome is Outcome.CERTIFIED_HOLDS
+
+
+def test_certified_details_name_their_own_reason():
+    chi = gallery("chi", alpha=0.4)
+    assert "consecutive-sum" in check_axiom(chi, AxiomKind.SIGMA1).detail
+    assert "consecutive-sum" not in check_axiom(chi, AxiomKind.UPPER_BOUND).detail
+    for kind in (AxiomKind.SIGMA1, AxiomKind.DOLLAR, AxiomKind.L_FUNCTION):
+        assert check_axiom(gallery("theta-l", alpha=0.3), kind).detail
