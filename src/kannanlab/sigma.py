@@ -171,14 +171,12 @@ class ComparisonFn:
     ``analytic_certificates`` holds ``(kind, reason)`` pairs: each
     parameterless axiom known to hold in closed form, with why it holds; the
     limit-ratio axiom carries its own certified interval because it is
-    parameterized.  ``declared_c_range`` records the advertised membership
-    interval for the sigma-class, when any.
+    parameterized.
     """
 
     name: str
     eval: Callable[[float, float], float]
     params: tuple[tuple[str, float], ...] = ()
-    declared_c_range: Interval | None = None
     analytic_certificates: frozenset = frozenset()
     sigma2_certificate: Interval | None = None
     handles: tuple[tuple[str, Callable[[float], float]], ...] = ()
@@ -212,7 +210,7 @@ def _identity_fn(t: float) -> float:
     return t
 
 
-def _make_linear(name: str, slope: float, declared: Interval | None) -> ComparisonFn:
+def _make_linear(name: str, slope: float) -> ComparisonFn:
     certs = {AxiomKind.DOLLAR: f"closed form of {slope:.12g} * s - t"}
     if slope < 1.0:
         kinds = AxiomKind.UPPER_BOUND, AxiomKind.ZETA3, AxiomKind.ETA2, AxiomKind.RHO1, AxiomKind.RHO2
@@ -230,7 +228,6 @@ def _make_linear(name: str, slope: float, declared: Interval | None) -> Comparis
         name=name,
         eval=evaluate,
         params=(("slope", slope),),
-        declared_c_range=declared,
         analytic_certificates=frozenset(certs.items()),
         sigma2_certificate=Interval(0.0, 1.0 / slope),
     )
@@ -255,7 +252,8 @@ def gallery(name: str, **params) -> ComparisonFn:
     Step functions and the piecewise average need no parameters; the linear
     families need ``alpha`` (or ``slope`` for the raw linear form); the
     theta variants additionally accept a unary handle (``pi_fn``, ``g_fn``,
-    ``l_fn``) with sensible defaults.  A custom handle carries no certificate.
+    ``l_fn``) and psi-phi two (``psi_fn``, ``phi_fn``), each with a default.
+    A custom handle carries no certificate.
     """
     if name not in GALLERY_NAMES:
         raise UnknownGallery(f"unknown gallery member {name!r}")
@@ -271,7 +269,6 @@ def _build_gamma(params: dict) -> ComparisonFn:
     return ComparisonFn(
         name="gamma",
         eval=evaluate,
-        declared_c_range=Interval(0.0, 3.0),
         analytic_certificates=frozenset({
             (AxiomKind.SIGMA1, "positivity along consecutive-sum pairs forces a_n < a_(n-1) / 2"),
             (AxiomKind.DOLLAR, "positivity forces t < s / 3"),
@@ -282,7 +279,7 @@ def _build_gamma(params: dict) -> ComparisonFn:
 
 def _build_beta(params: dict) -> ComparisonFn:
     _reject_extras("beta", params)
-    return _make_linear("beta", 0.5, None)
+    return _make_linear("beta", 0.5)
 
 
 def _make_step(name: str, params: dict, evaluate: Callable[[float, float], float]) -> ComparisonFn:
@@ -291,7 +288,6 @@ def _make_step(name: str, params: dict, evaluate: Callable[[float, float], float
     return ComparisonFn(
         name=name,
         eval=evaluate,
-        declared_c_range=Interval(1.0, float("inf")),
         analytic_certificates=frozenset({(AxiomKind.SIGMA1, vacuous)}),
         sigma2_certificate=Interval(1.0, float("inf")),
     )
@@ -307,33 +303,34 @@ def _build_step_omega(params: dict) -> ComparisonFn:
 
 def _build_chi(params: dict) -> ComparisonFn:
     alpha = _param(params, "chi", "alpha", lambda a: 0.0 < a < 0.5, "0 < alpha < 1/2")
-    return replace(_make_linear("chi", alpha, Interval(0.0, 2.0)), params=(("alpha", alpha),))
+    return replace(_make_linear("chi", alpha), params=(("alpha", alpha),))
 
 
 def _build_linear(params: dict) -> ComparisonFn:
-    slope = _param(params, "linear", "slope", lambda s: s > 0.0, "slope > 0")
-    declared = Interval(0.0, 2.0) if slope < 0.5 else None
-    return _make_linear("linear", slope, declared)
+    return _make_linear("linear", _param(params, "linear", "slope", lambda s: s > 0.0, "slope > 0"))
 
 
 def _build_tau(params: dict) -> ComparisonFn:
     _reject_extras("tau", params)
     # Membership fails on the first axiom, but the limit-ratio axiom holds
     # up to c = 3/2 in closed form.
-    return _make_linear("tau", 2.0 / 3.0, None)
+    return _make_linear("tau", 2.0 / 3.0)
 
 
-def _make_theta(
+def _make_dominated(
     name: str,
     params: dict,
-    key: str,
-    default: Callable[[float], float],
-    own: dict[AxiomKind, str],
+    defaults: dict[str, Callable[[float], float]],
+    slope: Callable[[float], float] | None,
+    own: dict[AxiomKind, str] | None = None,
     shape: Callable[..., Callable[[float, float], float]] = lambda a, h: lambda t, s: a * h(s) - t,
     closed: bool = False,
 ) -> ComparisonFn:
-    """A theta variant whose eval is ``shape(alpha, handle)``, for the handle
-    passed as ``<key>_fn`` or else ``default``; ``closed`` admits alpha = 1/2.
+    """A member with unary handles, each passed as ``<key>_fn`` or else its
+    entry of ``defaults``.  With a ``slope`` the member takes alpha in
+    (0, 1/2), or (0, 1/2] when ``closed``, its eval is ``shape(alpha,
+    *handles)`` and m = slope(alpha); without one it takes no alpha, its
+    eval is ``shape(*handles)`` and m = 1/2.
 
     If f <= g on [0, inf)^2, f inherits each certificate of g:
     - upper bound: f(t, s) <= g(t, s) < s - t;
@@ -341,70 +338,64 @@ def _make_theta(
     - sigma1, $, rho1: positivity of f along a sequence is positivity of g,
       which forces the limit g's certificate names;
     - sigma2, rho2: positivity of f would be positivity of g, ruled out.
-    Under the handle contract (pi(s) <= s; g <= 1; l(s) <= s) the variants
-    lie below linear(alpha): alpha * pi(s) - t <= alpha * s - t, alpha *
-    g(s) * s - t <= alpha * s - t, and likewise for l.  So the default
-    handle inherits linear(alpha)'s certificates and sigma2 interval, plus
-    the ``own`` (axiom -> reason) ones; ``closed`` closes the interval at
-    1/alpha.  A custom handle's contract is unchecked: it gets no
-    certificate, so every axiom is searched.
+    With the default handles each member equals or lies below linear(m):
+    pi(s) = l(s) = s / 2 make alpha * pi(s) - t and alpha * l(s) - t equal
+    (alpha / 2) * s - t; g < 1 gives alpha * g(s) * s - t <= alpha * s - t;
+    psi(s) - phi(t) is s / 2 - t.  So the member inherits linear(m)'s
+    certificates and sigma2 interval, each with the reason ``dominated by
+    linear(m)``, plus the ``own`` (axiom -> reason) ones that linear(m)
+    lacks; ``closed`` closes the interval at 1/alpha.  A custom handle's
+    contract is unchecked: it gets no certificate, so every axiom is
+    searched.
     """
-    in_range = (lambda a: 0.0 < a <= 0.5) if closed else (lambda a: 0.0 < a < 0.5)
-    handle = params.pop(f"{key}_fn", None)
-    handle = default if handle is None else handle
-    alpha = _param(params, name, "alpha", in_range, f"0 < alpha {'<=' if closed else '<'} 1/2")
-    if not callable(handle):
-        raise ParamOutOfRange(f"{key}_fn must be callable")
-    linear = _make_linear(name, alpha, Interval(1.0, 2.0, lo_open=False, hi_open=False))
-    ours = handle is default
-    reason = f"dominated by linear({alpha:.12g})"
-    inherited = dict.fromkeys(dict(linear.analytic_certificates), reason)
+    picked = {key: params.pop(f"{key}_fn", None) for key in defaults}
+    handles = tuple((key, defaults[key] if h is None else h) for key, h in picked.items())
+    if slope is None:
+        _reject_extras(name, params)
+        alpha, m = (), 0.5
+    else:
+        in_range = (lambda a: 0.0 < a <= 0.5) if closed else (lambda a: 0.0 < a < 0.5)
+        a = _param(params, name, "alpha", in_range, f"0 < alpha {'<=' if closed else '<'} 1/2")
+        alpha, m = (a,), slope(a)
+    if not all(callable(h) for _, h in handles):
+        raise ParamOutOfRange(" and ".join(f"{key}_fn" for key in defaults) + " must be callable")
+    linear = _make_linear(name, m)
+    ours = all(h is defaults[key] for key, h in handles)
+    reason = f"dominated by linear({m:.12g})"
+    certs = (own or {}) | dict.fromkeys(dict(linear.analytic_certificates), reason)
+    sigma2 = Interval(0.0, 1.0 / alpha[0], hi_open=False) if closed else linear.sigma2_certificate
     return replace(
         linear,
-        eval=shape(alpha, handle),
-        params=(("alpha", alpha),),
-        analytic_certificates=frozenset((own | inherited).items() if ours else ()),
-        sigma2_certificate=Interval(0.0, 1.0 / alpha, hi_open=not closed) if ours else None,
-        handles=((key, handle),),
+        eval=shape(*alpha, *(h for _, h in handles)),
+        params=tuple(("alpha", a) for a in alpha),
+        analytic_certificates=frozenset(certs.items() if ours else ()),
+        sigma2_certificate=sigma2 if ours else None,
+        handles=handles,
     )
 
 
 def _build_theta_pi(params: dict) -> ComparisonFn:
-    return _make_theta("theta-pi", params, "pi", _half, {})
+    return _make_dominated("theta-pi", params, {"pi": _half}, _half)
 
 
 def _build_theta_geraghty(params: dict) -> ComparisonFn:
     # g < 1 off 0 gives sigma1 even at alpha = 1/2: a limit L > 0 would need g(2L) = 1.
     own = dict.fromkeys((AxiomKind.GERAGHTY, AxiomKind.SIGMA1), "g(t) = 1 / (1 + t), g(0) = 0")
-    return _make_theta(
-        "theta-geraghty", params, "g", _reciprocal_decay, own,
+    return _make_dominated(
+        "theta-geraghty", params, {"g": _reciprocal_decay}, _identity_fn, own,
         lambda a, g: lambda t, s: a * g(s) * s - t, closed=True,
     )
 
 
 def _build_theta_l(params: dict) -> ComparisonFn:
     own = {AxiomKind.L_FUNCTION: "l(t) = t / 2 for t > 0, l(0) = 0"}
-    return _make_theta("theta-l", params, "l", _half_on_positive, own)
+    return _make_dominated("theta-l", params, {"l": _half_on_positive}, _half, own)
 
 
 def _build_psi_phi(params: dict) -> ComparisonFn:
-    psi_fn = params.pop("psi_fn", _half)
-    phi_fn = params.pop("phi_fn", _identity_fn)
-    _reject_extras("psi-phi", params)
-    if not callable(psi_fn) or not callable(phi_fn):
-        raise ParamOutOfRange("psi_fn and phi_fn must be callable")
-
-    def evaluate(t: float, s: float) -> float:
-        return psi_fn(s) - phi_fn(t)
-
-    # Only the default handles are known to meet psi(t) < t <= phi(t).
-    ours = psi_fn is _half and phi_fn is _identity_fn
-    kinds = (AxiomKind.UPPER_BOUND, AxiomKind.ZETA3, AxiomKind.DOLLAR) if ours else ()
-    return ComparisonFn(
-        name="psi-phi",
-        eval=evaluate,
-        analytic_certificates=frozenset((kind, "psi(t) = t / 2 < t = phi(t)") for kind in kinds),
-        handles=(("psi", psi_fn), ("phi", phi_fn)),
+    return _make_dominated(
+        "psi-phi", params, {"psi": _half, "phi": _identity_fn}, None,
+        shape=lambda psi, phi: lambda t, s: psi(s) - phi(t),
     )
 
 

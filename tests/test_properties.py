@@ -6,7 +6,7 @@ from dataclasses import replace
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kannanlab import (
     DEFAULT_TOL,
@@ -252,6 +252,76 @@ def test_no_certificate_is_refuted_by_the_falsifier():
                         fn.name, fn.params, kind, c, seed, verdict.detail
                     )
     assert certified == set(AxiomKind)
+
+
+def test_classify_decides_every_default_member():
+    # Gamma's R-function axioms are the only cells no certificate settles
+    # and no search refutes.
+    for fn in DEFAULT_MEMBERS:
+        matrix = classify(fn, (1.0, 2.0, 3.0))
+        undetermined = {
+            key for key, verdict in matrix.axiom_verdicts
+            if verdict.outcome is Outcome.UNDETERMINED
+        }
+        assert undetermined == ({"rho1", "rho2"} if fn.name == "gamma" else set()), (
+            fn.name, fn.params, undetermined
+        )
+
+
+def _linear_slope(fn: ComparisonFn) -> float | None:
+    """The m of the linear(m) that a default member equals or lies below."""
+    alpha = fn.param("alpha")
+    if fn.name in ("theta-pi", "theta-l"):
+        return alpha / 2
+    if fn.name in ("chi", "theta-geraghty"):
+        return alpha
+    return {"beta": 0.5, "psi-phi": 0.5, "tau": 2.0 / 3.0}.get(fn.name, fn.param("slope"))
+
+
+_LINEAR_MEMBERS = tuple(fn for fn in DEFAULT_MEMBERS if _linear_slope(fn) is not None)
+_CUSTOM = (
+    gallery("theta-pi", alpha=0.4, pi_fn=lambda t: 0.5 * t),
+    gallery("theta-geraghty", alpha=0.4, g_fn=lambda t: 1.0 / (1.0 + t) if t > 0 else 0.0),
+    gallery("theta-l", alpha=0.4, l_fn=lambda t: 0.5 * t),
+    gallery("psi-phi", psi_fn=lambda t: 0.5 * t),
+    gallery("psi-phi", phi_fn=lambda t: t),
+)
+_NONNEGATIVE = st.floats(min_value=0.0, max_value=1e6, allow_subnormal=False)
+
+
+@given(t=_NONNEGATIVE, s=_NONNEGATIVE)
+@example(t=0.0, s=0.0)
+@example(t=0.0, s=1.0)
+@example(t=1.0, s=0.0)
+@example(t=0.0, s=2.225073858507207e-308)
+@settings(max_examples=300, deadline=None)
+def test_default_members_lie_below_their_linear_member(t, s):
+    # The premise of the dominance rule, in the members' own float arithmetic.
+    for fn in _LINEAR_MEMBERS:
+        bound = gallery("linear", slope=_linear_slope(fn)).eval(t, s)
+        if 0.0 < s < 2.0**-1021:
+            # Halving such an s inside pi or l is inexact and can round the
+            # result up by one step; from 2**-1021 on it is bitwise equal.
+            bound = math.nextafter(bound, math.inf)
+        assert fn.eval(t, s) <= bound, (fn.name, fn.params, t, s)
+
+
+def test_linear_dominance_certifies_default_handles_only():
+    for fn in _LINEAR_MEMBERS:
+        slope = _linear_slope(fn)
+        linear = gallery("linear", slope=slope)
+        inherited = dict(linear.analytic_certificates)
+        certified = dict(fn.analytic_certificates)
+        assert inherited.keys() <= certified.keys(), (fn.name, fn.params)
+        assert fn.sigma2_certificate.hi == linear.sigma2_certificate.hi, (fn.name, fn.params)
+        if fn.handles:
+            reasons = {certified[kind] for kind in inherited}
+            assert reasons == {f"dominated by linear({slope:.12g})"}, (fn.name, fn.params)
+    # A handle the package did not supply carries nothing, even when it
+    # computes the same values as the default.
+    for fn in _CUSTOM:
+        assert fn.analytic_certificates == frozenset(), fn.handles
+        assert fn.sigma2_certificate is None, fn.handles
 
 
 def test_custom_handles_are_searched_not_certified():

@@ -424,11 +424,10 @@ def test_cli_classify_certifies_theta_members_by_dominance(tmp_path, capsys):
     )
     code = main(["classify", path])
     classes = json.loads(capsys.readouterr().out)["classes"]
-    for name in ("simulation", "manageable", "r-function", "dollar", "sigma-c(1)"):
+    # theta-pi equals linear(alpha / 2), whose sigma2 interval (0, 5) holds c = 3.
+    for name in ("simulation", "manageable", "r-function", "dollar", "sigma-c(1)", "sigma-c(3)"):
         assert classes[name]["outcome"] == "certified-holds", name
-    # sigma2 at c = 3 > 1 / alpha lies outside linear(0.4)'s interval.
-    assert classes["sigma-c(3)"]["outcome"] == "undetermined"
-    assert code == 2
+    assert code == 0
 
 
 def test_cli_out_file_and_text_format(tmp_path, capsys):

@@ -212,6 +212,12 @@ def test_difference_pair_defaults_match_half_slope():
     matrix = classify(fn, (1.0,))
     assert matrix.simulation.outcome is Outcome.CERTIFIED_HOLDS
     assert matrix.dollar.outcome is Outcome.CERTIFIED_HOLDS
+    # Equal to linear(1/2), it inherits certificates that settle these cells
+    # without a search.
+    for kind in (AxiomKind.ETA2, AxiomKind.RHO1, AxiomKind.RHO2, AxiomKind.SIGMA2):
+        verdict = check_axiom(fn, kind, c=1.0)
+        assert verdict.outcome is Outcome.CERTIFIED_HOLDS, kind
+        assert verdict.budget_used == 0
 
 
 def test_difference_pair_custom_handles():
@@ -227,9 +233,10 @@ def test_theta_pi_default_handle_halves_the_second_argument():
 
 
 def test_theta_members_inherit_the_certificates_of_linear_alpha():
-    # alpha * pi(s) - t, alpha * g(s) * s - t and alpha * l(s) - t all lie
-    # below alpha * s - t, whose closed-form certificates carry over.
-    for name in ("theta-pi", "theta-geraghty", "theta-l"):
+    # alpha * pi(s) - t and alpha * l(s) - t equal (alpha / 2) * s - t, and
+    # alpha * g(s) * s - t lies below alpha * s - t; the closed-form
+    # certificates of those linear members carry over.
+    for name, slope in (("theta-pi", 0.2), ("theta-geraghty", 0.4), ("theta-l", 0.2)):
         fn = gallery(name, alpha=0.4)
         for kind in (
             AxiomKind.UPPER_BOUND,
@@ -241,7 +248,7 @@ def test_theta_members_inherit_the_certificates_of_linear_alpha():
             verdict = check_axiom(fn, kind)
             assert verdict.outcome is Outcome.CERTIFIED_HOLDS, (name, kind)
             assert verdict.budget_used == 0
-            assert verdict.detail == "dominated by linear(0.4)"
+            assert verdict.detail == f"dominated by linear({slope})"
     # linear(1/2) certifies no sigma1; the Geraghty variant keeps its own.
     half = gallery("theta-geraghty", alpha=0.5)
     sigma1 = check_axiom(half, AxiomKind.SIGMA1)
