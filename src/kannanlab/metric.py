@@ -97,19 +97,26 @@ def _scan(dist: Sequence[Sequence[float]], tol: float) -> Iterator[_Found]:
     if tol < 0:
         raise ValueError("tol must be >= 0")
     n = len(dist)
+    # Tuple comparison holds an object equal to itself: the same NaN object at
+    # (i, j) and (j, i) counts as symmetric, as _triangle_failures allows.
+    symmetric = list(zip(*dist)) == list(map(tuple, dist))
     for i in range(n):
         if abs(dist[i][i]) > tol:
             yield ViolationKind.NON_ZERO_DIAGONAL, (i, i), (dist[i][i],)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(dist[i][j] - dist[j][i]) > tol:
-                yield ViolationKind.ASYMMETRY, (i, j), (dist[i][j], dist[j][i])
+    # In an exactly symmetric table every |x - y| is 0 or NaN.
+    if not symmetric:
+        for i in range(n):
+            for j in range(i + 1, n):
+                if abs(dist[i][j] - dist[j][i]) > tol:
+                    yield ViolationKind.ASYMMETRY, (i, j), (dist[i][j], dist[j][i])
     # Positivity is strict: spaces may carry genuinely tiny distances
     # (reciprocal-power points), so no tolerance is applied here.
     for i in range(n):
         for j in range(i + 1, n):
             if dist[i][j] <= 0.0 or dist[j][i] <= 0.0:
                 yield ViolationKind.INDISCERNIBLE_PAIR, (i, j), (dist[i][j], dist[j][i])
+    if symmetric and not any(_row_set_hits(dist, i, tol) for i in range(n)):
+        return
     for i, j, k in _triangle_failures(dist, tol):
         yield (
             ViolationKind.TRIANGLE_FAILURE,
@@ -148,13 +155,22 @@ def _triangle_failures(
     So a failing triple has j in the *row set* of (i, k), ``2*d[i][j] < c``,
     or in its *column set*, ``2*d[j][k] < c``, minus those diagonal j.  Each
     column's indices sorted by distance (without a non-negative diagonal),
-    with their doubles, are built once per table; row i's sorted indices
-    only while that row is scanned.  For each j of row i, the k whose row
-    set holds j are a suffix of the sorted row, found by bisection; for
-    each k, the column set is a prefix of the sorted column.  The
-    unchanged test runs on the union, and the row's hits are sorted by
-    (j, k).  NaN entries stay out of the sorted lists: a triple with one
-    never fails, and NaN would break the order.
+    with their doubles, are built once per table; row i's row sets come from
+    :func:`_row_set_hits`.  For each k, the column set is a prefix of the
+    sorted column.  The unchanged test runs on the union, and the row's hits
+    are sorted by (j, k).  NaN entries stay out of the sorted lists: a
+    triple with one never fails, and NaN would break the order.
+
+    On an exactly symmetric table (each d[i][j] == d[j][i] or both the
+    same object) row sets alone decide whether any triple fails, and
+    :func:`_scan` calls this only if one does.  Proof: the column set of
+    (i, k) is {j : 2*d[k][j] < d[k][i]}, the row set of (k, i), and both
+    leave out j = k when d[k][k] >= 0.  The test of (k, j, i) is the test of
+    (i, j, k) with the two terms of the first sum swapped, and addition
+    commutes; mirrored entries differ at most in the sign of a zero, which
+    no comparison sees, or are both NaN, which makes both tests false.  So
+    (i, j, k) fails with j in the column set of (i, k) exactly when
+    (k, j, i) fails with j in the row set of (k, i).
     """
     columns = []
     for k, col in enumerate(zip(*dist)):
@@ -164,19 +180,7 @@ def _triangle_failures(
         twice = array("d", [2 * col[j] for j in order])
         columns.append((twice[0] if twice else math.inf, order, twice))
     for i, row in enumerate(dist):
-        order = _ascending(row)
-        values = [row[k] for k in order]
-        twice = [2 * v for v in values]
-        hits = []
-        # Row sets: j is in those of the k after 2*d[i][j] in sorted order.
-        reach = bisect_left(twice, values[-1]) if values else 0
-        for j, t in zip(order[:reach], twice):
-            if j == i and row[i] >= 0:
-                continue
-            a, dj = row[j], dist[j]
-            for k in order[bisect_right(values, t) :]:
-                if row[k] > a + dj[k] + tol:
-                    hits.append((j, k))
+        hits = _row_set_hits(dist, i, tol)
         # Column sets, less the j the row sets already covered.
         for k, (c, (least, col_order, col_twice)) in enumerate(zip(row, columns)):
             if least < c:
@@ -186,6 +190,27 @@ def _triangle_failures(
         hits.sort()
         for j, k in hits:
             yield i, j, k
+
+
+def _row_set_hits(dist: Sequence[Sequence[float]], i: int, tol: float) -> list[tuple[int, int]]:
+    """The (j, k), unordered, of the failing triples (i, j, k) with j in the
+    row set of (i, k), less the diagonal j of :func:`_triangle_failures`.
+    For each j, those k are a suffix of row i sorted, found by bisection."""
+    row = dist[i]
+    order = _ascending(row)
+    values = [row[k] for k in order]
+    twice = [2 * v for v in values]
+    hits = []
+    # j is in the row sets of the k after 2*d[i][j] in sorted order.
+    reach = bisect_left(twice, values[-1]) if values else 0
+    for j, t in zip(order[:reach], twice):
+        if j == i and row[i] >= 0:
+            continue
+        a, dj = row[j], dist[j]
+        for k in order[bisect_right(values, t) :]:
+            if row[k] > a + dj[k] + tol:
+                hits.append((j, k))
+    return hits
 
 
 @dataclass(frozen=True)
@@ -246,11 +271,9 @@ def build_finite_space(
     n = len(names)
     if len(dist) != n or any(len(row) != n for row in dist):
         raise ValueError(f"distance table must be {n}x{n} to match the labels")
-    table = tuple(tuple(float(v) for v in row) for row in dist)
-    for row in table:
-        for v in row:
-            if not math.isfinite(v):
-                raise ValueError("distances must be finite")
+    table = tuple(tuple(map(float, row)) for row in dist)
+    if not all(all(map(math.isfinite, row)) for row in table):
+        raise ValueError("distances must be finite")
     kept: list[MetricViolation] = []
     total = 0
     for found in _scan(table, tol):

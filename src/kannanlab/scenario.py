@@ -265,8 +265,10 @@ def _parse_finite_space(section: dict) -> FiniteMetricSpace:
         for row in table:
             if not isinstance(row, list):
                 raise ValidationError("space.dist", "must be a square list of lists")
-            for v in row:
-                _finite(v, "space.dist")
+            # Only a row that is not all finite floats needs _finite's verdict.
+            if not (set(map(type, row)) <= {float} and all(map(math.isfinite, row))):
+                for v in row:
+                    _finite(v, "space.dist")
         try:
             return build_finite_space(labels, table)
         except MetricInvalid:

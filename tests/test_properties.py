@@ -175,6 +175,9 @@ def test_abs_diff_spaces_match_the_full_scan(row, tol, data):
         ([0.0, 5e-324, 1e-323], 0.0),
         ([], 0.0),
         ([3.0], 0.0),
+        # Wider than the proved check covers at the default tol, so scanned.
+        ([0.0, 5e-324, 1e-300, 1.0, 1e6], DEFAULT_TOL),
+        ([1e7 * i / 99 for i in range(100)], DEFAULT_TOL),
     ],
 )
 def test_abs_diff_edge_cases_match_the_full_scan(values, tol):

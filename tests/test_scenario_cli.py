@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import re
 from pathlib import Path
@@ -166,6 +167,37 @@ def test_cli_rejects_integers_beyond_the_double_range(tmp_path, capsys):
         doc["maps"] = {"T": "identity"}
         assert main(["validate", write(tmp_path, "big.json", doc)]) == 3, field
         assert json.loads(capsys.readouterr().out)["error"] == f"{field}: must be finite"
+
+
+@pytest.mark.parametrize(
+    "bad, reason",
+    [
+        (True, "must be a number"),
+        ("1.0", "must be a number"),
+        (None, "required"),
+        ([1.0], "must be a number"),
+        (10**400, "must be finite"),
+        (math.nan, "must be finite"),
+        (math.inf, "must be finite"),
+        (-math.inf, "must be finite"),
+    ],
+)
+def test_cli_rejects_a_bad_distance_entry_in_a_row_of_floats(tmp_path, capsys, bad, reason):
+    # json.dumps writes NaN and +-inf as the NaN/Infinity literals json.loads reads.
+    dist = [[0.0, 1.0, 1.0], [1.0, 0.0, bad], [1.0, bad, 0.0]]
+    doc = {"space": {"type": "finite", "labels": ["a", "b", "c"], "dist": dist}}
+    doc["maps"] = {"T": "identity"}
+    assert main(["validate", write(tmp_path, "bad.json", doc)]) == 3
+    assert json.loads(capsys.readouterr().out)["error"] == f"space.dist: {reason}"
+
+
+def test_cli_accepts_integer_distance_entries(tmp_path, capsys):
+    doc = {
+        "space": {"type": "finite", "labels": ["a", "b", "c"], "dist": [[0, 1, 2], [1, 0.0, 1], [2, 1, 0]]},
+        "maps": {"T": "identity"},
+    }
+    assert main(["validate", write(tmp_path, "ints.json", doc)]) == 0
+    assert json.loads(capsys.readouterr().out)["valid"] is True
 
 
 def test_parse_error_carries_position(tmp_path):
