@@ -15,6 +15,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 DEFAULT_TOL = 1e-9
@@ -51,7 +52,8 @@ class MetricInvalid(ValueError):
     """Raised when a distance table fails one or more metric axioms.
 
     ``violations`` holds the first violations in scan order and ``total``
-    counts all of them (by default, those given).
+    counts all of them (by default, those given; :func:`build_finite_space`
+    counts a symmetric table's triangle failures from its row sets).
     """
 
     def __init__(self, violations: Sequence[MetricViolation], total: int | None = None):
@@ -97,9 +99,25 @@ def _scan(dist: Sequence[Sequence[float]], tol: float) -> Iterator[_Found]:
     if tol < 0:
         raise ValueError("tol must be >= 0")
     n = len(dist)
+    if any(len(row) != n for row in dist):
+        raise ValueError("distance table must be square")
     # Tuple comparison holds an object equal to itself: the same NaN object at
     # (i, j) and (j, i) counts as symmetric, as _triangle_failures allows.
     symmetric = list(zip(*dist)) == list(map(tuple, dist))
+    yield from _pair_scan(dist, tol, symmetric)
+    if symmetric and not any(_row_set_hits(dist, i, tol) for i in range(n)):
+        return
+    for i, j, k in _triangle_failures(dist, tol):
+        yield (
+            ViolationKind.TRIANGLE_FAILURE,
+            (i, j, k),
+            (dist[i][k], dist[i][j], dist[j][k]),
+        )
+
+
+def _pair_scan(dist: Sequence[Sequence[float]], tol: float, symmetric: bool) -> Iterator[_Found]:
+    """The diagonal, symmetry and positivity violations of :func:`_scan`."""
+    n = len(dist)
     for i in range(n):
         if abs(dist[i][i]) > tol:
             yield ViolationKind.NON_ZERO_DIAGONAL, (i, i), (dist[i][i],)
@@ -115,14 +133,18 @@ def _scan(dist: Sequence[Sequence[float]], tol: float) -> Iterator[_Found]:
         for j in range(i + 1, n):
             if dist[i][j] <= 0.0 or dist[j][i] <= 0.0:
                 yield ViolationKind.INDISCERNIBLE_PAIR, (i, j), (dist[i][j], dist[j][i])
-    if symmetric and not any(_row_set_hits(dist, i, tol) for i in range(n)):
-        return
-    for i, j, k in _triangle_failures(dist, tol):
-        yield (
-            ViolationKind.TRIANGLE_FAILURE,
-            (i, j, k),
-            (dist[i][k], dist[i][j], dist[j][k]),
-        )
+
+
+def _count(dist: Sequence[Sequence[float]], tol: float) -> int:
+    """How many violations :func:`_scan` yields, those of the triangle from the
+    row sets alone on an exactly symmetric table (see :func:`_triangle_failures`)."""
+    symmetric = list(zip(*dist)) == list(map(tuple, dist))
+    total = sum(1 for _ in _pair_scan(dist, tol, symmetric))
+    if not symmetric:
+        return total + sum(1 for _ in _triangle_failures(dist, tol))
+    for i, row in enumerate(dist):
+        total += sum(2 - (2 * dist[j][k] < row[k]) for j, k in _row_set_hits(dist, i, tol))
+    return total
 
 
 def _ascending(values: Sequence[float]) -> list[int]:
@@ -171,6 +193,13 @@ def _triangle_failures(
     no comparison sees, or are both NaN, which makes both tests false.  So
     (i, j, k) fails with j in the column set of (i, k) exactly when
     (k, j, i) fails with j in the row set of (k, i).
+
+    Hence :func:`_count` counts the failing triples F of such a table from
+    row sets.  Let R and C be those with j in the row and in the column set
+    of (i, k): F = R | C and the mirror maps C one-to-one onto R, so |F| =
+    2|R| - |R & C|.  R is the set of :func:`_row_set_hits`; as no failing
+    triple has a left-out diagonal j, hit (j, k) of row i is in C exactly
+    when ``2*d[j][k] < d[i][k]``.
     """
     columns = []
     for k, col in enumerate(zip(*dist)):
@@ -261,7 +290,8 @@ def build_finite_space(
     Raises ``ValueError`` for structural problems (non-square table, label
     mismatch, duplicates, non-finite entries) and :class:`MetricInvalid`
     when the table is well-formed but breaks a metric axiom; the exception
-    keeps the first violations in scan order and counts the rest.
+    keeps the first violations in scan order and counts the rest (on an
+    exactly symmetric table, from row sets: see :func:`_triangle_failures`).
     """
     if tol < 0:
         raise ValueError("tol must be >= 0")
@@ -274,14 +304,9 @@ def build_finite_space(
     table = tuple(tuple(map(float, row)) for row in dist)
     if not all(all(map(math.isfinite, row)) for row in table):
         raise ValueError("distances must be finite")
-    kept: list[MetricViolation] = []
-    total = 0
-    for found in _scan(table, tol):
-        if total < _VIOLATIONS_KEPT:
-            kept.append(MetricViolation(*found))
-        total += 1
-    if total:
-        raise MetricInvalid(kept, total)
+    kept = [MetricViolation(*found) for found in islice(_scan(table, tol), _VIOLATIONS_KEPT)]
+    if kept:
+        raise MetricInvalid(kept, _count(table, tol) if len(kept) == _VIOLATIONS_KEPT else None)
     return FiniteMetricSpace(names, table, tol)
 
 

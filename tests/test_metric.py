@@ -57,6 +57,12 @@ def test_shape_and_label_validation():
         build_finite_space(["a", "b"], [[0.0, float("nan")], [float("nan"), 0.0]])
 
 
+@pytest.mark.parametrize("table", [[[0.0, 1.0], [1.0]], [[0, 1, 2], [1, 0, 1]]])
+def test_find_violations_refuses_a_non_square_table(table):
+    with pytest.raises(ValueError, match="distance table must be square"):
+        find_violations(table)
+
+
 def test_self_map_construction_and_errors(five_point):
     space, t_map, _ = five_point
     assert t_map("4") == "2"

@@ -5,7 +5,7 @@ import random
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from kannanlab import build_finite_space, find_violations, metric, random_space
 from scan_oracle import KEPT, built, exact, expected_space, full_scan
@@ -142,21 +142,78 @@ def test_a_valid_symmetric_table_tests_only_its_row_sets():
     assert tol.tests == row_set_triples
 
 
-def test_large_invalid_table_matches_the_full_scan():
-    # Raw random weights on 60 points, never shortest-path completed.
+def _large_invalid_table():
+    """Raw random weights on 60 points, never shortest-path completed."""
     rng = random.Random(5)
     n = 60
     table = [[0.0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             table[i][j] = table[j][i] = rng.uniform(0.5, 2.0)
+    return table
+
+
+def test_large_invalid_table_matches_the_full_scan():
+    table = _large_invalid_table()
     every = full_scan(table, 1e-9)
     assert len(every) > KEPT
     assert exact(find_violations(table)) == exact(every)
-    labels = [f"q{i}" for i in range(n)]
+    labels = [f"q{i}" for i in range(len(table))]
     assert built(lambda: build_finite_space(labels, table)) == expected_space(
         labels, table, 1e-9
     )
+
+
+def test_large_invalid_table_lists_only_the_kept_triangle_failures():
+    # The total of a rejected exactly symmetric table comes from row sets, so
+    # building it draws no more triples than it keeps.
+    table = _large_invalid_table()
+    drawn = []
+    listing = metric._triangle_failures
+
+    def counted(dist, tol):
+        for triple in listing(dist, tol):
+            drawn.append(triple)
+            yield triple
+
+    with mock.patch.object(metric, "_triangle_failures", counted):
+        with pytest.raises(metric.MetricInvalid) as err:
+            build_finite_space([f"q{i}" for i in range(len(table))], table)
+    assert err.value.total > KEPT
+    assert 0 < len(drawn) <= KEPT
+
+
+@given(
+    n=st.integers(10, 40),
+    seed=st.integers(0, 2**32),
+    zeros=st.integers(0, 3),
+    asymmetric=st.booleans(),
+)
+@example(n=20, seed=3, zeros=1, asymmetric=True)
+@settings(max_examples=15, deadline=None)
+def test_rejected_tables_keep_and_count_as_the_full_scan(n, seed, zeros, asymmetric):
+    # Raw uniform weights, never shortest-path completed, fail about one
+    # triple in six.  Mirrored entries are equal but distinct objects, some
+    # 0.0 against -0.0; some diagonals lie 1e-10 below zero.  One entry off
+    # its mirror takes the full count of a table that is not exactly symmetric.
+    rng = random.Random(seed)
+    table = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        table[i][i] = rng.choice([0.0, -0.0, -1e-10])
+        for j in range(i + 1, n):
+            w = rng.uniform(0.0, 2.0)
+            table[i][j], table[j][i] = w, float(repr(w))
+    for _ in range(zeros):
+        i, j = rng.sample(range(n), 2)
+        table[i][j], table[j][i] = 0.0, -0.0
+    if asymmetric:
+        table[0][1] += 0.5
+    assume(len(full_scan(table, 0.0)) > KEPT)
+    labels = [f"p{i}" for i in range(n)]
+    for tol in TOLS:
+        assert built(lambda: build_finite_space(labels, table, tol)) == expected_space(
+            labels, table, tol
+        )
 
 
 def test_negative_tolerance_is_refused():
