@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 import random
-from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice
+from heapq import nsmallest
+from itertools import count, islice
+from operator import itemgetter
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 DEFAULT_TOL = 1e-9
@@ -53,7 +54,8 @@ class MetricInvalid(ValueError):
 
     ``violations`` holds the first violations in scan order and ``total``
     counts all of them (by default, those given; :func:`build_finite_space`
-    counts a symmetric table's triangle failures from its row sets).
+    counts each triangle failure once, from the row sets of the table and of
+    its transpose, without listing more than it keeps).
     """
 
     def __init__(self, violations: Sequence[MetricViolation], total: int | None = None):
@@ -87,32 +89,33 @@ def find_violations(
     indices lexicographic within each kind), so the first entry of the
     returned list is a deterministic witness.  ``tol`` must be >= 0.
     """
-    return [MetricViolation(*found) for found in _scan(dist, tol)]
+    pairs, failures = _scan(dist, tol)
+    return [MetricViolation(*found) for found in pairs] + [
+        _triangle_violation(dist, *triple) for triple in sorted(failures)
+    ]
 
 
 _Found = tuple[ViolationKind, tuple[int, ...], tuple[float, ...]]
 
 
-def _scan(dist: Sequence[Sequence[float]], tol: float) -> Iterator[_Found]:
-    """Yield the violations of :func:`find_violations` one at a time, in its
-    order, as ``(kind, indices, values)`` tuples."""
+def _scan(
+    dist: Sequence[Sequence[float]], tol: float
+) -> tuple[Iterator[_Found], Iterator[tuple[int, int, int]]]:
+    """The violations of :func:`find_violations`: those of the diagonal,
+    symmetry and positivity one at a time in its order, as ``(kind, indices,
+    values)`` tuples, and the failing triples (i, j, k) in no order."""
     if tol < 0:
         raise ValueError("tol must be >= 0")
     n = len(dist)
     if any(len(row) != n for row in dist):
         raise ValueError("distance table must be square")
+    columns = list(zip(*dist))
     # Tuple comparison holds an object equal to itself: the same NaN object at
     # (i, j) and (j, i) counts as symmetric, as _triangle_failures allows.
-    symmetric = list(zip(*dist)) == list(map(tuple, dist))
-    yield from _pair_scan(dist, tol, symmetric)
-    if symmetric and not any(_row_set_hits(dist, i, tol) for i in range(n)):
-        return
-    for i, j, k in _triangle_failures(dist, tol):
-        yield (
-            ViolationKind.TRIANGLE_FAILURE,
-            (i, j, k),
-            (dist[i][k], dist[i][j], dist[j][k]),
-        )
+    symmetric = columns == list(map(tuple, dist))
+    return _pair_scan(dist, tol, symmetric), _triangle_failures(
+        dist, dist if symmetric else columns, tol
+    )
 
 
 def _pair_scan(dist: Sequence[Sequence[float]], tol: float, symmetric: bool) -> Iterator[_Found]:
@@ -135,16 +138,10 @@ def _pair_scan(dist: Sequence[Sequence[float]], tol: float, symmetric: bool) -> 
                 yield ViolationKind.INDISCERNIBLE_PAIR, (i, j), (dist[i][j], dist[j][i])
 
 
-def _count(dist: Sequence[Sequence[float]], tol: float) -> int:
-    """How many violations :func:`_scan` yields, those of the triangle from the
-    row sets alone on an exactly symmetric table (see :func:`_triangle_failures`)."""
-    symmetric = list(zip(*dist)) == list(map(tuple, dist))
-    total = sum(1 for _ in _pair_scan(dist, tol, symmetric))
-    if not symmetric:
-        return total + sum(1 for _ in _triangle_failures(dist, tol))
-    for i, row in enumerate(dist):
-        total += sum(2 - (2 * dist[j][k] < row[k]) for j, k in _row_set_hits(dist, i, tol))
-    return total
+def _triangle_violation(dist: Sequence[Sequence[float]], i: int, j: int, k: int) -> MetricViolation:
+    return MetricViolation(
+        ViolationKind.TRIANGLE_FAILURE, (i, j, k), (dist[i][k], dist[i][j], dist[j][k])
+    )
 
 
 def _ascending(values: Sequence[float]) -> list[int]:
@@ -153,10 +150,12 @@ def _ascending(values: Sequence[float]) -> list[int]:
 
 
 def _triangle_failures(
-    dist: Sequence[Sequence[float]], tol: float
+    dist: Sequence[Sequence[float]], columns: Sequence[Sequence[float]], tol: float
 ) -> Iterator[tuple[int, int, int]]:
     """The triples (i, j, k) with ``dist[i][k] > dist[i][j] + dist[j][k] + tol``,
-    in lexicographic order, found by testing only the triples that can fail.
+    each once and in no particular order, found by testing only the triples
+    that can fail.  ``columns`` holds the rows of the transpose of ``dist``,
+    or is ``dist`` itself when the table is exactly symmetric.
 
     Write a = d[i][j], b = d[j][k], c = d[i][k].  For any doubles (finite,
     infinite or NaN) and any ``tol >= 0``, the test cannot fire when
@@ -175,56 +174,42 @@ def _triangle_failures(
     then one term is >= 0 and the other is c, and fl(c + x) >= c for x >= 0.
 
     So a failing triple has j in the *row set* of (i, k), ``2*d[i][j] < c``,
-    or in its *column set*, ``2*d[j][k] < c``, minus those diagonal j.  Each
-    column's indices sorted by distance (without a non-negative diagonal),
-    with their doubles, are built once per table; row i's row sets come from
-    :func:`_row_set_hits`.  For each k, the column set is a prefix of the
-    sorted column.  The unchanged test runs on the union, and the row's hits
-    are sorted by (j, k).  NaN entries stay out of the sorted lists: a
-    triple with one never fails, and NaN would break the order.
+    or in its *column set*, ``2*d[j][k] < c``, minus those diagonal j; row
+    i's row sets come from :func:`_row_set_hits`.
+
+    The column sets of d are the row sets of its transpose e, and the
+    triangle tests of d are those of e: the column set of (i, k) is the row
+    set {j : 2*e[k][j] < e[k][i]} of (k, i) in e, both leave out j = k when
+    d[k][k] >= 0, and the test of (i, j, k) on d is the test of (k, j, i)
+    on e with the two operands of the first sum swapped, which changes no
+    result, as IEEE addition commutes.  So the hits (k, j, i) of row k of
+    e are, reversed, the failing (i, j, k) of d with j in the column set of
+    (i, k).  Each is yielded unless ``2*d[i][j] < d[i][k]``, which puts it
+    among the hits of row i of d (no failing triple has a left-out
+    diagonal j), so each failing triple comes once.
 
     On an exactly symmetric table (each d[i][j] == d[j][i] or both the
-    same object) row sets alone decide whether any triple fails, and
-    :func:`_scan` calls this only if one does.  Proof: the column set of
-    (i, k) is {j : 2*d[k][j] < d[k][i]}, the row set of (k, i), and both
-    leave out j = k when d[k][k] >= 0.  The test of (k, j, i) is the test of
-    (i, j, k) with the two terms of the first sum swapped, and addition
-    commutes; mirrored entries differ at most in the sign of a zero, which
-    no comparison sees, or are both NaN, which makes both tests false.  So
-    (i, j, k) fails with j in the column set of (i, k) exactly when
-    (k, j, i) fails with j in the row set of (k, i).
-
-    Hence :func:`_count` counts the failing triples F of such a table from
-    row sets.  Let R and C be those with j in the row and in the column set
-    of (i, k): F = R | C and the mirror maps C one-to-one onto R, so |F| =
-    2|R| - |R & C|.  R is the set of :func:`_row_set_hits`; as no failing
-    triple has a left-out diagonal j, hit (j, k) of row i is in C exactly
-    when ``2*d[j][k] < d[i][k]``.
+    same object) e differs from d at most in the sign of a zero, which no
+    comparison sees, so row k of e has the hits of row k of d, and they
+    are reused.  NaN entries stay out of the sorted rows: a triple with
+    one never fails, and NaN would break the order.
     """
-    columns = []
-    for k, col in enumerate(zip(*dist)):
-        order = _ascending(col)
-        if col[k] >= 0:
-            order.remove(k)
-        twice = array("d", [2 * col[j] for j in order])
-        columns.append((twice[0] if twice else math.inf, order, twice))
-    for i, row in enumerate(dist):
-        hits = _row_set_hits(dist, i, tol)
-        # Column sets, less the j the row sets already covered.
-        for k, (c, (least, col_order, col_twice)) in enumerate(zip(row, columns)):
-            if least < c:
-                for j in col_order[: bisect_left(col_twice, c)]:
-                    if not 2 * row[j] < c and c > row[j] + dist[j][k] + tol:
-                        hits.append((j, k))
-        hits.sort()
-        for j, k in hits:
-            yield i, j, k
+    for r in range(len(dist)):
+        hits = _row_set_hits(dist, r, tol)
+        yield from hits
+        if columns is not dist:
+            hits = _row_set_hits(columns, r, tol)
+        # Failing triples hold no NaN, so >= is "j not in the row set of
+        # (i, r) of d".
+        yield from [(i, j, r) for _, j, i in hits if 2 * dist[i][j] >= dist[i][r]]
 
 
-def _row_set_hits(dist: Sequence[Sequence[float]], i: int, tol: float) -> list[tuple[int, int]]:
-    """The (j, k), unordered, of the failing triples (i, j, k) with j in the
-    row set of (i, k), less the diagonal j of :func:`_triangle_failures`.
-    For each j, those k are a suffix of row i sorted, found by bisection."""
+def _row_set_hits(
+    dist: Sequence[Sequence[float]], i: int, tol: float
+) -> list[tuple[int, int, int]]:
+    """The failing triples (i, j, k), unordered, with j in the row set of
+    (i, k), less the diagonal j of :func:`_triangle_failures`.  For each j,
+    those k are a suffix of row i sorted, found by bisection."""
     row = dist[i]
     order = _ascending(row)
     values = [row[k] for k in order]
@@ -238,7 +223,7 @@ def _row_set_hits(dist: Sequence[Sequence[float]], i: int, tol: float) -> list[t
         a, dj = row[j], dist[j]
         for k in order[bisect_right(values, t) :]:
             if row[k] > a + dj[k] + tol:
-                hits.append((j, k))
+                hits.append((i, j, k))
     return hits
 
 
@@ -290,8 +275,10 @@ def build_finite_space(
     Raises ``ValueError`` for structural problems (non-square table, label
     mismatch, duplicates, non-finite entries) and :class:`MetricInvalid`
     when the table is well-formed but breaks a metric axiom; the exception
-    keeps the first violations in scan order and counts the rest (on an
-    exactly symmetric table, from row sets: see :func:`_triangle_failures`).
+    keeps the first violations in scan order and counts the rest.  Each
+    triangle failure is found once, from the row sets of the table and of
+    its transpose (see :func:`_triangle_failures`), and only those kept are
+    held, so memory does not grow with the count.
     """
     if tol < 0:
         raise ValueError("tol must be >= 0")
@@ -304,9 +291,18 @@ def build_finite_space(
     table = tuple(tuple(map(float, row)) for row in dist)
     if not all(all(map(math.isfinite, row)) for row in table):
         raise ValueError("distances must be finite")
-    kept = [MetricViolation(*found) for found in islice(_scan(table, tol), _VIOLATIONS_KEPT)]
+    pairs, failures = _scan(table, tol)
+    kept = [MetricViolation(*found) for found in islice(pairs, _VIOLATIONS_KEPT)]
+    total = len(kept) + sum(1 for _ in pairs)
+    # The least triples come first in scan order.  nsmallest draws every
+    # failure, or none when no room is left: the count zipped onto the
+    # failures counts what it drew, and the sum counts the rest.
+    drawn = count()
+    least = nsmallest(_VIOLATIONS_KEPT - len(kept), map(itemgetter(0), zip(failures, drawn)))
+    kept += [_triangle_violation(table, *triple) for triple in least]
+    total += next(drawn) + sum(1 for _ in failures)
     if kept:
-        raise MetricInvalid(kept, _count(table, tol) if len(kept) == _VIOLATIONS_KEPT else None)
+        raise MetricInvalid(kept, total)
     return FiniteMetricSpace(names, table, tol)
 
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -84,14 +85,20 @@ def test_build_finite_space_matches_the_full_scan(table, tol):
     seed=st.integers(0, 2**32),
     tol=st.sampled_from(TOLS),
     bump=st.sampled_from([None, 0.5, 3.0, 10.0]),
+    asymmetric=st.booleans(),
 )
 @settings(max_examples=40, deadline=None)
-def test_random_spaces_match_the_full_scan(n, seed, tol, bump):
+def test_random_spaces_match_the_full_scan(n, seed, tol, bump, asymmetric):
     rng = random.Random(seed)
     table = [list(row) for row in random_space(n, rng).dist]
     if bump is not None and n > 1:
         i, j = rng.sample(range(n), 2)
         table[i][j] = table[j][i] = bump
+    if asymmetric and n > 1:
+        # Off its mirror by less than the default tol: the transpose's rows
+        # are scanned too.
+        i, j = rng.sample(range(n), 2)
+        table[i][j] += 5e-10
     assert exact(find_violations(table, tol)) == exact(full_scan(table, tol))
     labels = [f"p{i}" for i in range(n)]
     assert built(lambda: build_finite_space(labels, table, tol)) == expected_space(
@@ -142,10 +149,31 @@ def test_a_valid_symmetric_table_tests_only_its_row_sets():
     assert tol.tests == row_set_triples
 
 
-def _large_invalid_table():
-    """Raw random weights on 60 points, never shortest-path completed."""
+def _row_set_triples(d):
+    n = len(d)
+    return sum(
+        2 * d[i][j] < d[i][k] for i in range(n) for j in range(n) if j != i for k in range(n)
+    )
+
+
+def test_a_valid_asymmetric_table_tests_only_the_row_sets_of_it_and_its_transpose():
+    # A table symmetric only within tol sorts each row of itself and of its
+    # transpose once, and tests only the triples in their row sets.
+    space = random_space(60, random.Random(11))
+    table = [list(row) for row in space.dist]
+    table[3][7] += 5e-10
+    columns = [list(col) for col in zip(*table)]
+    tol = _CountingTol(space.tol)
+    with mock.patch.object(metric, "_ascending", wraps=metric._ascending) as ascending:
+        assert build_finite_space(space.labels, table, tol).dist == tuple(map(tuple, table))
+    sorted_rows = [list(call.args[0]) for call in ascending.call_args_list]
+    assert sorted(sorted_rows) == sorted(table + columns)
+    assert tol.tests == _row_set_triples(table) + _row_set_triples(columns)
+
+
+def _large_invalid_table(n=60):
+    """Raw random weights on n points, never shortest-path completed."""
     rng = random.Random(5)
-    n = 60
     table = [[0.0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
@@ -164,23 +192,20 @@ def test_large_invalid_table_matches_the_full_scan():
     )
 
 
-def test_large_invalid_table_lists_only_the_kept_triangle_failures():
-    # The total of a rejected exactly symmetric table comes from row sets, so
-    # building it draws no more triples than it keeps.
-    table = _large_invalid_table()
-    drawn = []
-    listing = metric._triangle_failures
-
-    def counted(dist, tol):
-        for triple in listing(dist, tol):
-            drawn.append(triple)
-            yield triple
-
-    with mock.patch.object(metric, "_triangle_failures", counted):
+def test_a_large_rejected_table_is_counted_in_bounded_memory():
+    # Listing all of this table's tens of thousands of triangle failures takes
+    # about 6 MiB; the build holds the kept ones and one row's hits at a time.
+    table = _large_invalid_table(120)
+    labels = [f"q{i}" for i in range(len(table))]
+    tracemalloc.start()
+    try:
         with pytest.raises(metric.MetricInvalid) as err:
-            build_finite_space([f"q{i}" for i in range(len(table))], table)
-    assert err.value.total > KEPT
-    assert 0 < len(drawn) <= KEPT
+            build_finite_space(labels, table)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert err.value.total == len(full_scan(table, 1e-9))
+    assert peak < 1 << 20
 
 
 @given(
