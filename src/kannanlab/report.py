@@ -1,51 +1,83 @@
 """Stable report rendering.
 
-Reports are plain dictionaries rendered as sorted, indented JSON with every
-float rounded to 12 significant digits, so identical runs produce
-byte-identical documents suitable for golden-file comparison.
+Reports are plain dictionaries, rendered as JSON (sorted keys, 2-space
+indent, ASCII-escaped strings) or as one ``path: value`` line per leaf.
+Floats are written at 12 significant digits, and NaN, inf and -inf as the
+strings ``"nan"``, ``"inf"`` and ``"-inf"``; keys are stringified, the last
+one winning when two stringify alike (``1`` and ``"1"``); tuples are written
+as lists.  So identical runs produce byte-identical documents suitable for
+golden-file comparison.
 """
 
 from __future__ import annotations
 
-import json
+import math
+from json.encoder import encode_basestring_ascii as _quote
 
 FORMAT_VERSION = "1"
 
 
-def round_floats(value):
-    """Recursively round floats to 12 significant digits."""
-    if isinstance(value, bool) or value is None:
-        return value
-    if isinstance(value, float):
-        if value != value or value in (float("inf"), float("-inf")):
-            return repr(value)
-        return float(f"{value:.12g}")
-    if isinstance(value, dict):
-        return {str(k): round_floats(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [round_floats(v) for v in value]
-    return value
+def _round(x: float):
+    """``x`` at 12 significant digits, or its name if it is not finite."""
+    return float(f"{x:.12g}") if math.isfinite(x) else repr(x)
 
 
 def render_json(doc: dict) -> str:
-    return json.dumps(round_floats(doc), sort_keys=True, indent=2) + "\n"
+    out: list[str] = []
+    _write(doc, "\n", out)
+    return "".join(out) + "\n"
+
+
+def _write(value, newline: str, out: list[str]) -> None:
+    """Append the JSON text of ``value``; ``newline`` ends with its indent."""
+    if isinstance(value, str):
+        out.append(_quote(value))
+    elif isinstance(value, dict):
+        items = dict(zip(map(str, value), value.values()))
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(items):
+            out += sep, _quote(key), ": "
+            _write(items[key], inner, out)
+            sep = "," + inner
+        out.append(newline + "}" if items else "{}")
+    elif isinstance(value, (list, tuple)):
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]" if value else "[]")
+    elif isinstance(value, float):
+        x = _round(value)
+        out.append(_quote(x) if isinstance(x, str) else repr(x))
+    elif value is None or isinstance(value, bool):
+        out.append("null" if value is None else "true" if value else "false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def render_text(doc: dict) -> str:
     lines: list[str] = []
-    _flatten("", round_floats(doc), lines)
+    _flatten("", doc, lines)
     return "\n".join(lines) + "\n"
 
 
 def _flatten(prefix: str, value, lines: list[str]) -> None:
     if isinstance(value, dict):
-        for key in sorted(value):
-            _flatten(f"{prefix}{key}." if prefix else f"{key}.", value[key], lines)
+        items = dict(zip(map(str, value), value.values()))
+        for key in sorted(items):
+            _flatten(f"{prefix}{key}." if prefix else f"{key}.", items[key], lines)
         return
-    if isinstance(value, list):
+    if isinstance(value, (list, tuple)):
         for i, item in enumerate(value):
             _flatten(f"{prefix}{i}.", item, lines)
         return
+    if isinstance(value, float):
+        value = _round(value)
     lines.append(f"{prefix.rstrip('.')}: {value}")
 
 

@@ -51,7 +51,7 @@ from .picard import (
     run_picard_pair,
     solve,
 )
-from .report import condition_summary, round_floats, solve_summary, witness_summary
+from .report import _round, condition_summary, solve_summary, witness_summary
 from .sigma import AxiomKind, ComparisonFn, Outcome, check_axiom, classify, gallery
 
 NUMERIC_MATCH_TOL = 1e-12
@@ -549,9 +549,7 @@ def reproduce(example_id: str) -> ReproduceReport:
     computed = _COMPUTERS[example_id]()
     golden = _load_golden(example_id)
     mismatches: list[str] = []
-    # Golden values are stored at 12 significant digits; compare at the
-    # same precision so re-rendering is the identity.
-    _compare("", golden, round_floats(computed), mismatches)
+    _compare("", golden, computed, mismatches)
     return ReproduceReport(example_id, computed, golden, tuple(mismatches))
 
 
@@ -573,12 +571,16 @@ def _compare(path: str, want, got, out: list[str]) -> None:
                 _compare(here, sub, got[key], out)
         return
     if isinstance(want, list):
-        if not isinstance(got, list) or len(got) != len(want):
+        if not isinstance(got, (list, tuple)) or len(got) != len(want):
             out.append(f"{path}: expected list of {len(want)}")
             return
         for i, sub in enumerate(want):
             _compare(f"{path}[{i}]", sub, got[i], out)
         return
+    if isinstance(got, float):
+        # Golden values are stored as rendered; compare at the same
+        # precision so re-rendering is the identity.
+        got = _round(got)
     if isinstance(want, bool) or want is None or isinstance(want, str):
         if got != want:
             out.append(f"{path}: expected {want!r}, got {got!r}")
