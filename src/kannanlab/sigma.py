@@ -3,17 +3,27 @@
 A comparison function sigma(t, s) drives every contraction condition in the
 package.  The interesting axioms quantify over *all* positive sequences,
 which no finite computation can certify, so verdicts form a three-way
-lattice: a closed-form certificate attached to a gallery member yields
-``CERTIFIED_HOLDS``, a replayable counterexample yields ``FALSIFIED``, and
-an exhausted search budget yields ``UNDETERMINED``.
+lattice: a closed-form certificate attached to a gallery member, or the
+exact decision on its ratio profile, yields ``CERTIFIED_HOLDS``; a
+replayable counterexample yields ``FALSIFIED``; and an exhausted search
+budget yields ``UNDETERMINED``.
 
-Falsification searches walk structured sequence families (constants,
-geometric decays, harmonic approaches, linear growth) before random grids.
-Constant-sequence counterexamples are exact because constant sequences
-converge; family-based ones verify positivity over the realized prefix and
-at sparse far-tail indices of the closed form.  Each axiom is one entry of
-``_AXIOMS``, which the search, the witness replay and the classifier all
-read.
+Gallery members whose eval is s * phi(t / s) (gamma, beta, chi, tau,
+linear, and psi-phi, theta-pi and theta-l through the linear(m) they
+equal) or phi(t / s) (the step functions), with the package's own
+handles, carry that profile.  A cell no certificate settles is decided
+from it in exact rationals: holds with the reduction's reason, or fails
+with the counterexample the search would report, built in closed form.
+Either way no evaluation is spent.
+
+Every other cell is searched.  Falsification searches walk structured
+sequence families (constants, geometric decays, harmonic approaches,
+linear growth) before random grids.  Constant-sequence counterexamples are
+exact because constant sequences converge; family-based ones verify
+positivity over the realized prefix and at sparse far-tail indices of the
+closed form.  Each axiom is one entry of ``_AXIOMS``, which the search,
+the witness replay and the classifier all read, and has one reduction in
+``_REDUCTIONS``.
 """
 
 from __future__ import annotations
@@ -23,6 +33,7 @@ import random
 import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
+from fractions import Fraction
 from functools import partial
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -146,8 +157,9 @@ def _family_term(family: str, p: dict[str, float], n: int) -> float:
 
 def make_witness(family: str, n_terms: int = WITNESS_TERMS, **params: float) -> WitnessSequence:
     items = tuple(sorted(params.items()))
-    terms = tuple(_family_term(family, dict(items), n) for n in range(1, n_terms + 1))
-    return WitnessSequence(family, items, terms)
+    p = dict(items)
+    terms = [_family_term(family, p, n) for n in range(1, n_terms + 1)]
+    return WitnessSequence(family, items, tuple(terms))
 
 
 def make_pair_witness(a: WitnessSequence, b: WitnessSequence) -> WitnessSequence:
@@ -171,7 +183,10 @@ class ComparisonFn:
     ``analytic_certificates`` holds ``(kind, reason)`` pairs: each
     parameterless axiom known to hold in closed form, with why it holds; the
     limit-ratio axiom carries its own certified interval because it is
-    parameterized.
+    parameterized.  ``profile`` is the ratio profile of a gallery member whose
+    eval depends on t / s alone (up to the factor s), with the package's own
+    handles; its uncertified axioms are decided from it exactly instead of
+    searched.  Any other function has none.
     """
 
     name: str
@@ -180,12 +195,46 @@ class ComparisonFn:
     analytic_certificates: frozenset = frozenset()
     sigma2_certificate: Interval | None = None
     handles: tuple[tuple[str, Callable[[float], float]], ...] = ()
+    profile: _Ratio | None = None
 
     def param(self, key: str, default: float | None = None) -> float | None:
         return dict(self.params).get(key, default)
 
     def handle(self, key: str) -> Callable[[float], float] | None:
         return dict(self.handles).get(key)
+
+
+class _Ratio(NamedTuple):
+    """A ratio profile: on t, s > 0, eval(t, s) = s * phi(t / s) when
+    ``scaled`` and phi(t / s) otherwise, where phi(r) = p - q * r for r < 1
+    with ``below`` = (p, q), phi(1) = ``one``, and phi(r) = p - q * r for
+    r > 1 with ``above`` = (p, q).  Every coefficient is an exact rational.
+    """
+
+    scaled: bool
+    below: tuple[Fraction, Fraction]
+    one: Fraction
+    above: tuple[Fraction, Fraction]
+
+    def phi(self, r: Fraction) -> Fraction:
+        if r == 1:
+            return self.one
+        p, q = self.below if r < 1 else self.above
+        return p - q * r
+
+    def value(self, t: Fraction, s: Fraction) -> Fraction:
+        v = self.phi(t / s)
+        return s * v if self.scaled else v
+
+    def positive_below(self, lo: Fraction, hi: Fraction) -> bool:
+        """phi > 0 on [lo, hi) for lo < hi <= 1: phi is affine there."""
+        p, q = self.below
+        return p - q * lo > 0 and p - q * hi >= 0
+
+    def positive_above(self, hi: Fraction) -> bool:
+        """phi > 0 on (1, hi]: phi is affine there."""
+        p, q = self.above
+        return p - q >= 0 and p - q * hi > 0
 
 
 # --------------------------------------------------------------------------
@@ -224,12 +273,14 @@ def _make_linear(name: str, slope: float) -> ComparisonFn:
     def evaluate(t: float, s: float, a: float = slope) -> float:
         return a * s - t
 
+    m = Fraction(slope)
     return ComparisonFn(
         name=name,
         eval=evaluate,
         params=(("slope", slope),),
         analytic_certificates=frozenset(certs.items()),
         sigma2_certificate=Interval(0.0, 1.0 / slope),
+        profile=_Ratio(True, (m, 1), m - 1, (m, 1)),
     )
 
 
@@ -274,7 +325,12 @@ def _build_gamma(params: dict) -> ComparisonFn:
             (AxiomKind.DOLLAR, "positivity forces t < s / 3"),
         }),
         sigma2_certificate=Interval(0.0, 3.0),
+        profile=_GAMMA_PROFILE,
     )
+
+
+# phi(r) = 1/2 - 3r/2 below 1 and 0 from 1 on.
+_GAMMA_PROFILE = _Ratio(True, (Fraction(1, 2), Fraction(3, 2)), Fraction(0), (Fraction(0), Fraction(0)))
 
 
 def _build_beta(params: dict) -> ComparisonFn:
@@ -282,7 +338,10 @@ def _build_beta(params: dict) -> ComparisonFn:
     return _make_linear("beta", 0.5)
 
 
-def _make_step(name: str, params: dict, evaluate: Callable[[float, float], float]) -> ComparisonFn:
+def _make_step(
+    name: str, params: dict, evaluate: Callable[[float, float], float], at_one: int
+) -> ComparisonFn:
+    """phi(r) = -1 below r = 1, ``at_one`` at 1 and +1 past it."""
     _reject_extras(name, params)
     vacuous = "first axiom is vacuous: consecutive-sum pairs always evaluate to -1"
     return ComparisonFn(
@@ -290,15 +349,16 @@ def _make_step(name: str, params: dict, evaluate: Callable[[float, float], float
         eval=evaluate,
         analytic_certificates=frozenset({(AxiomKind.SIGMA1, vacuous)}),
         sigma2_certificate=Interval(1.0, float("inf")),
+        profile=_Ratio(False, (Fraction(-1), Fraction(0)), Fraction(at_one), (Fraction(1), Fraction(0))),
     )
 
 
 def _build_step_g(params: dict) -> ComparisonFn:
-    return _make_step("step-g", params, lambda t, s: -1.0 if t <= s else 1.0)
+    return _make_step("step-g", params, lambda t, s: -1.0 if t <= s else 1.0, -1)
 
 
 def _build_step_omega(params: dict) -> ComparisonFn:
-    return _make_step("step-omega", params, lambda t, s: -1.0 if t < s else 1.0)
+    return _make_step("step-omega", params, lambda t, s: -1.0 if t < s else 1.0, 1)
 
 
 def _build_chi(params: dict) -> ComparisonFn:
@@ -307,7 +367,8 @@ def _build_chi(params: dict) -> ComparisonFn:
 
 
 def _build_linear(params: dict) -> ComparisonFn:
-    return _make_linear("linear", _param(params, "linear", "slope", lambda s: s > 0.0, "slope > 0"))
+    slope = _param(params, "linear", "slope", lambda s: 0.0 < s < float("inf"), "finite slope > 0")
+    return _make_linear("linear", slope)
 
 
 def _build_tau(params: dict) -> ComparisonFn:
@@ -344,9 +405,10 @@ def _make_dominated(
     psi(s) - phi(t) is s / 2 - t.  So the member inherits linear(m)'s
     certificates and sigma2 interval, each with the reason ``dominated by
     linear(m)``, plus the ``own`` (axiom -> reason) ones that linear(m)
-    lacks; ``closed`` closes the interval at 1/alpha.  A custom handle's
-    contract is unchecked: it gets no certificate, so every axiom is
-    searched.
+    lacks; ``closed`` closes the interval at 1/alpha.  It also takes
+    linear(m)'s ratio profile, which only the members equal to linear(m)
+    may keep.  A custom handle's contract is unchecked: it gets no
+    certificate and no profile, so every axiom is searched.
     """
     picked = {key: params.pop(f"{key}_fn", None) for key in defaults}
     handles = tuple((key, defaults[key] if h is None else h) for key, h in picked.items())
@@ -371,6 +433,7 @@ def _make_dominated(
         analytic_certificates=frozenset(certs.items() if ours else ()),
         sigma2_certificate=sigma2 if ours else None,
         handles=handles,
+        profile=linear.profile if ours else None,
     )
 
 
@@ -381,10 +444,13 @@ def _build_theta_pi(params: dict) -> ComparisonFn:
 def _build_theta_geraghty(params: dict) -> ComparisonFn:
     # g < 1 off 0 gives sigma1 even at alpha = 1/2: a limit L > 0 would need g(2L) = 1.
     own = dict.fromkeys((AxiomKind.GERAGHTY, AxiomKind.SIGMA1), "g(t) = 1 / (1 + t), g(0) = 0")
-    return _make_dominated(
+    fn = _make_dominated(
         "theta-geraghty", params, {"g": _reciprocal_decay}, _identity_fn, own,
         lambda a, g: lambda t, s: a * g(s) * s - t, closed=True,
     )
+    # It lies below linear(alpha) without equalling it: alpha * g(s) * s - t
+    # is no function of t / s, so its uncertified cells are searched.
+    return replace(fn, profile=None)
 
 
 def _build_theta_l(params: dict) -> ComparisonFn:
@@ -484,17 +550,21 @@ class _Axiom(NamedTuple):
     quantity: Callable[[float, float, float], float] | None = None
 
     def search(self, fn, c, rng, prefix_len, b):
-        for candidates, detail, exact in self.schedule:
+        for phase, (candidates, _, exact) in enumerate(self.schedule):
             hit = self.violation(fn.eval, candidates(c, rng), exact, prefix_len, b)
             if hit is not None:
-                cand, fields = hit
-                if exact:
-                    parts = [make_witness("constant", value=v) for v in cand]
-                else:
-                    parts = [make_witness(family, **params) for family, params in cand]
-                witness = make_pair_witness(*parts) if len(parts) == 2 else parts[0]
-                return witness, detail.format(a=parts[0].limit(), b=parts[-1].limit(), **fields)
+                return self.counterexample(phase, *hit)
         return None, _NOT_FOUND
+
+    def counterexample(self, phase, cand, fields):
+        """The witness and detail of candidate ``cand`` of schedule phase ``phase``."""
+        _, detail, exact = self.schedule[phase]
+        if exact:
+            parts = [make_witness("constant", value=v) for v in cand]
+        else:
+            parts = [make_witness(family, **params) for family, params in cand]
+        witness = make_pair_witness(*parts) if len(parts) == 2 else parts[0]
+        return witness, detail.format(a=parts[0].limit(), b=parts[-1].limit(), **fields)
 
     def replay(self, fn, witness, c):
         parts = witness.components or (witness,)
@@ -747,6 +817,202 @@ _AXIOMS = {
 
 
 # --------------------------------------------------------------------------
+# Exact decisions on ratio profiles
+# --------------------------------------------------------------------------
+#
+# On t, s > 0 a ratio profile's eval has the sign of phi(t / s).  Each
+# reduction below reads phi at the few ratios its schedule's candidates
+# realize, and returns either the reason the axiom holds, or the position
+# (phase, index) in the schedule of the first candidate that violates it,
+# which is the one the search would report, or None when neither follows
+# and the search decides.  The constant and family phases try each
+# canonical level x in turn, 1 first; sequences of every level realize the
+# same ratios, so if level 1 does not violate, no level does.  Random
+# candidates come after those of level 1.  Among the package's profiles
+# only gamma's rho1 and rho2 hold without a certificate, so only those two
+# reductions prove an axiom; the others refute or leave the cell to the
+# search.
+
+
+def _reduce_sigma1(ax: _Axiom, f: _Ratio, c: float):
+    """Along (a_n, a_(n-1) + a_n) the ratio r_n = a_n / (a_(n-1) + a_n) lies
+    in (0, 1).  Every constant sequence has r_n = 1/2.  If phi(1/2) > 0 the
+    constant sequence 1 stays positive and tends to 1, not 0.  If phi(1/2) =
+    0, every constant gives 0; with q > 0, phi(r) = q * (1/2 - r) > 0 on
+    [3/7, 1/2), where harmonic(1) has its ratios: it stays positive and
+    tends to 1.
+    """
+    half = f.phi(_HALF)
+    if half > 0:
+        return 0, 0
+    if half == 0 and f.below[1] > 0:
+        return 1, 0
+    return None
+
+
+def _reduce_sigma2(ax: _Axiom, f: _Ratio, c: float):
+    """For c >= 1, a_n -> L > 0 and b_n -> c * L make r_n = a_n / b_n tend to
+    1/c <= 1.  If phi(1/c) > 0 the constant pair (1, c) stays positive.
+    Otherwise constants do not, and the first level-1 family pair is tried:
+    (harmonic-below(1), c) has ratios in [1/(2c), 1/c), (harmonic(1), c) at
+    c = 1 has them in (1, 2].
+
+    Every sigma2 cell that holds is certified by the member's interval,
+    except for linear(m) at c >= 1/m rounded down to a float while m * c < 1
+    exactly.  There eval's rounding can make the float function positive
+    where phi is not, so the search decides those cells.  An infinite c
+    has no ratio, and is searched too.
+    """
+    if c == float("inf"):
+        return None
+    r = 1 / Fraction(c)
+    if f.phi(r) > 0:
+        return 0, 0
+    if f.positive_below(r / 2, r):
+        return 1, 0
+    if c == 1 and f.positive_above(_TWO):
+        return 1, 1
+    return None
+
+
+def _reduce_dollar(ax: _Axiom, f: _Ratio, c: float):
+    """The candidates pair the constant 1 with b_n = start * ratio^(n-1),
+    starts 1, 2 and 1/2, whose ratios 1 / b_n rise from 1 / start through
+    every piece above it.  On a profile constant past 1 at p > 0 (the step
+    functions; the other profiles carry a $ certificate), start 1 stays
+    positive iff phi(1) > 0, start 2 fails at once when phi(1/2) <= 0, and
+    start 1/2 stays positive, with b_n -> 0 while a_n = 1.
+    """
+    p, q = f.above
+    if q != 0 or p <= 0:
+        return None
+    if f.one > 0:
+        return 0, 0
+    if f.phi(_HALF) <= 0:
+        return 0, 4
+    return None
+
+
+def _reduce_grid(ax: _Axiom, f: _Ratio, c: float):
+    """Upper bound and eta2 test the grid's constant pairs first; its first
+    cells (1, 1), (1, 2) and (1, 1/2) realize the ratios 1, 1/2 and 2.  The
+    first whose exact quantity reaches the threshold is the witness: for
+    the upper bound, eval(t, s) >= s - t; for eta2, (t + eval(t, s)) / s >= 1.
+    """
+    for index, (t, s) in enumerate(_GRID_HEAD):
+        if ax.quantity(t, s, f.value(t, s)) >= ax.threshold:
+            return 0, index
+    return None
+
+
+def _reduce_zeta3(ax: _Axiom, f: _Ratio, c: float):
+    """Pairs with a common limit L > 0 have ratios tending to 1, so the
+    limsup of eval is L (or 1, unscaled) times the largest of phi(1-),
+    phi(1) and phi(1+) that some pair's ratios approach: a profile may jump
+    at 1, as gamma does from -1 to 0.  Constant pairs (x, x) have ratio 1,
+    so phi(1) >= 0 refutes zeta3 at (1, 1).  Otherwise a profile constant
+    past 1 at p > 1e-9 and not scaled by s gives eval = p along
+    (harmonic(1), harmonic-below(1)), whose ratios lie above 1: the tail
+    estimate is p.
+    """
+    if f.one >= 0:
+        return 0, 0
+    p, q = f.above
+    if not f.scaled and q == 0 and p > 1e-9:
+        return 1, 0
+    return None
+
+
+def _reduce_rho1(ax: _Axiom, f: _Ratio, c: float):
+    """Along (a_(n+1), a_n) the constant sequence has ratio 1, linear(1) has
+    ratios (n + 1) / n in (1, 2] and harmonic(1) has n (n + 2) / (n + 1)^2 in
+    [3/4, 1): each stays positive iff phi does on its ratios.
+
+    If phi <= 0 at 1 and on (1, inf), and on [r0, 1) for some r0 < 1,
+    positivity forces a_(n+1) < r0 * a_n, so a_n -> 0 geometrically: rho1
+    holds.  Once harmonic(1) fails, phi(1-) <= 0 gives such an r0: p / q if
+    q > 0 (then p / q < 1), 0 otherwise, when phi < 0 on all of [0, 1).
+    """
+    if f.one > 0:
+        return 0, 0
+    if f.positive_above(_TWO):
+        return 1, 0
+    if f.positive_below(_THREE_QUARTERS, _ONE):
+        return 2, 0
+    (p, q), (p2, q2) = f.below, f.above
+    if p - q <= 0 and p2 - q2 <= 0 and q2 >= 0:
+        r0 = max(p / q, 0) if q > 0 else 0
+        return f"ratio profile: positivity forces a_(n+1) < {float(r0):.12g} * a_n"
+    return None
+
+
+def _reduce_rho2(ax: _Axiom, f: _Ratio, c: float):
+    """Every candidate starts with harmonic(1), above its limit 1.  Against
+    the constant 1 the ratios lie in (1, 2]; against harmonic(1) they are 1;
+    against harmonic-below(1) they lie in (1, 4], positive only when (1, 2]
+    is, for phi is affine there.
+
+    Sequences with a common limit L > 0 have ratios tending to 1.  If phi
+    <= 0 at 1 and on both sides near it, eval ends non-positive along every
+    such pair: rho2 holds.  Near 1 from below phi <= 0 iff phi(1-) < 0, or
+    phi(1-) = 0 and q <= 0.  From above, once (1, 2] fails, iff phi(1+) <= 0
+    (phi(1+) = 0 then forces phi(2) = -q <= 0).
+    """
+    if f.positive_above(_TWO):
+        return 0, 0
+    if f.one > 0:
+        return 0, 1
+    p, q = f.below
+    left = p - q
+    if (left < 0 or left == 0 and q <= 0) and f.above[0] - f.above[1] <= 0:
+        return "ratio profile: phi <= 0 near ratio 1, where pairs with a common limit end"
+    return None
+
+
+_ONE, _HALF, _TWO = Fraction(1), Fraction(1, 2), Fraction(2)
+_THREE_QUARTERS = Fraction(3, 4)
+_GRID_HEAD = ((_ONE, _ONE), (_ONE, _TWO), (_ONE, _HALF))
+_REDUCTIONS = {
+    AxiomKind.SIGMA1: _reduce_sigma1,
+    AxiomKind.SIGMA2: _reduce_sigma2,
+    AxiomKind.DOLLAR: _reduce_dollar,
+    AxiomKind.UPPER_BOUND: _reduce_grid,
+    AxiomKind.ZETA3: _reduce_zeta3,
+    AxiomKind.ETA2: _reduce_grid,
+    AxiomKind.RHO1: _reduce_rho1,
+    AxiomKind.RHO2: _reduce_rho2,
+}
+
+
+def _decide(fn: ComparisonFn, kind: AxiomKind, c: float) -> AxiomVerdict | None:
+    """The verdict of ``kind``'s reduction on fn's profile, at 0 evaluations,
+    or None when the search must decide.
+
+    A refuting candidate is read off its phase's list, whose deterministic
+    head needs no random generator.  A constant one is evaluated once, in
+    eval's own arithmetic, for the detail; if rounding keeps it from
+    violating there, the search decides instead.
+    """
+    ax = _AXIOMS[kind]
+    found = _REDUCTIONS[kind](ax, fn.profile, c)
+    if found is None:
+        return None
+    if isinstance(found, str):
+        return AxiomVerdict(kind, Outcome.CERTIFIED_HOLDS, detail=found)
+    phase, index = found
+    candidates, _, exact = ax.schedule[phase]
+    cand = next(itertools.islice(candidates(c, None), index, None))
+    fields = {}
+    if exact:
+        hit = ax.violation(fn.eval, (cand,), True, 1, _Budget(1))
+        if hit is None:
+            return None
+        fields = hit[1]
+    witness, detail = ax.counterexample(phase, cand, fields)
+    return AxiomVerdict(kind, Outcome.FALSIFIED, witness, 0, detail)
+
+
+# --------------------------------------------------------------------------
 # Axiom checking and witness replay
 # --------------------------------------------------------------------------
 
@@ -761,7 +1027,8 @@ def check_axiom(
 ) -> AxiomVerdict:
     """Decide one axiom for one function, within an evaluation budget.
 
-    Certificates short-circuit the search.  The limit-ratio axiom takes the
+    Certificates, then the exact decision on a ratio profile, short-circuit
+    the search; neither spends budget.  The limit-ratio axiom takes the
     constant ``c``; values below 1 are accepted with a warning and are
     vacuously true under the adopted reading (the paired limits cannot then
     be ordered unless both are zero).
@@ -785,6 +1052,10 @@ def check_axiom(
         certified = dict(fn.analytic_certificates).get(kind)
     if certified is not None:
         return AxiomVerdict(kind, Outcome.CERTIFIED_HOLDS, detail=certified)
+    if fn.profile is not None and kind in _REDUCTIONS:
+        decided = _decide(fn, kind, c)
+        if decided is not None:
+            return decided
 
     b = _Budget(budget)
     try:

@@ -239,11 +239,11 @@ DEFAULT_MEMBERS = (
 
 
 def test_no_certificate_is_refuted_by_the_falsifier():
-    # With its certificates stripped, the search must find no witness
-    # against any axiom the member certifies.
+    # With its certificates and ratio profile stripped, the search must find
+    # no witness against any axiom the member certifies or decides holds.
     certified = set()
     for fn in DEFAULT_MEMBERS:
-        bare = replace(fn, analytic_certificates=frozenset(), sigma2_certificate=None)
+        bare = replace(fn, analytic_certificates=frozenset(), sigma2_certificate=None, profile=None)
         for kind in AxiomKind:
             for c in (1.0, 2.0, 3.0) if kind is AxiomKind.SIGMA2 else (1.0,):
                 if check_axiom(fn, kind, c=c).outcome is not Outcome.CERTIFIED_HOLDS:
@@ -258,17 +258,63 @@ def test_no_certificate_is_refuted_by_the_falsifier():
 
 
 def test_classify_decides_every_default_member():
-    # Gamma's R-function axioms are the only cells no certificate settles
-    # and no search refutes.
+    # Certificates and the exact decision leave no cell undetermined.
     for fn in DEFAULT_MEMBERS:
         matrix = classify(fn, (1.0, 2.0, 3.0))
         undetermined = {
             key for key, verdict in matrix.axiom_verdicts
             if verdict.outcome is Outcome.UNDETERMINED
         }
-        assert undetermined == ({"rho1", "rho2"} if fn.name == "gamma" else set()), (
-            fn.name, fn.params, undetermined
-        )
+        assert not undetermined, (fn.name, fn.params, undetermined)
+
+
+def test_ratio_profile_members_classify_without_evaluations():
+    # A certificate or the exact decision settles every cell of a member
+    # with a ratio profile; only theta-geraghty is searched.
+    for fn in DEFAULT_MEMBERS:
+        if fn.profile is None:
+            assert fn.name == "theta-geraghty"
+            continue
+        for c in (1.0, 2.0, 3.0):
+            matrix = classify(fn, (c,))
+            spent = {key: v.budget_used for key, v in matrix.axiom_verdicts if v.budget_used}
+            assert not spent, (fn.name, fn.params, c, spent)
+
+
+_EVAL_AXIOMS = tuple(k for k in AxiomKind if k not in (AxiomKind.GERAGHTY, AxiomKind.L_FUNCTION))
+_PROFILED = st.one_of(
+    st.sampled_from(DEFAULT_MEMBERS),
+    st.floats(0.0, 0.5, exclude_min=True, exclude_max=True).map(lambda a: gallery("chi", alpha=a)),
+    st.floats(0.0, 2.0, exclude_min=True).map(lambda m: gallery("linear", slope=m)),
+)
+
+
+@given(fn=_PROFILED)
+@example(fn=gallery("linear", slope=0.5))
+@example(fn=gallery("linear", slope=2.0 / 3.0))
+@example(fn=gallery("linear", slope=1.0))
+@example(fn=gallery("chi", alpha=0.45))
+@settings(max_examples=60, deadline=None)
+def test_exact_decision_agrees_with_the_search(fn):
+    # The same member without its profile is checked the way it was before
+    # the decision existed: certificates, then the search.  They agree
+    # wherever the search decides, down to the witness and its detail, and
+    # every decided counterexample replays.
+    searched_fn = replace(fn, profile=None)
+    for c in (1.0, 2.0, 3.0):
+        for kind in _EVAL_AXIOMS:
+            decided = check_axiom(fn, kind, c=c)
+            searched = check_axiom(searched_fn, kind, c=c)
+            key = (fn.name, fn.params, kind, c)
+            if decided.outcome is Outcome.FALSIFIED:
+                assert replay_witness(fn, kind, decided.witness, c=c), key
+            if searched.outcome is Outcome.UNDETERMINED:
+                continue
+            assert decided.outcome is searched.outcome, key
+            assert (decided.witness, decided.detail) == (searched.witness, searched.detail), key
+    # An infinite c has no ratio; the search decides it, as without a profile.
+    decided, searched = (check_axiom(f, AxiomKind.SIGMA2, c=math.inf) for f in (fn, searched_fn))
+    assert decided == searched
 
 
 def _linear_slope(fn: ComparisonFn) -> float | None:

@@ -4,6 +4,7 @@ import pytest
 
 from kannanlab import (
     AxiomKind,
+    ComparisonFn,
     MissingParam,
     Outcome,
     ParamOutOfRange,
@@ -48,8 +49,9 @@ def test_gallery_parameter_validation():
         gallery("chi", alpha=0.5)
     with pytest.raises(ParamOutOfRange):
         gallery("theta-geraghty", alpha=0.51)
-    with pytest.raises(ParamOutOfRange):
-        gallery("linear", slope=0.0)
+    for slope in (0.0, float("inf")):
+        with pytest.raises(ParamOutOfRange):
+            gallery("linear", slope=slope)
     with pytest.raises(ParamOutOfRange):
         gallery("gamma", alpha=0.2)
     # The half-slope boundary is admissible for the Geraghty variant only.
@@ -152,12 +154,29 @@ def test_classify_step_g():
     assert matrix.r_function.failing_axiom is AxiomKind.RHO1
 
 
+#: Gamma's eval as a function of the caller's own: no certificate and no
+#: ratio profile, so every axiom is searched.
+CUSTOM_GAMMA = ComparisonFn("custom-gamma", gallery("gamma").eval)
+
+
 def test_undetermined_on_true_but_uncertified_axiom():
-    # The piecewise average is an R-function in truth, but carries no
-    # certificate for it, and no counterexample exists to find.
-    verdict = check_axiom(gallery("gamma"), AxiomKind.RHO1, budget=2000)
+    # The piecewise average is an R-function in truth, but as a custom
+    # function it carries no certificate for it, and no counterexample
+    # exists to find.
+    verdict = check_axiom(CUSTOM_GAMMA, AxiomKind.RHO1, budget=2000)
     assert verdict.outcome is Outcome.UNDETERMINED
     assert verdict.budget_used > 0
+
+
+def test_gamma_r_function_is_decided_from_its_ratio_profile():
+    gamma = gallery("gamma")
+    for kind in (AxiomKind.RHO1, AxiomKind.RHO2):
+        verdict = check_axiom(gamma, kind, budget=5)
+        assert verdict.outcome is Outcome.CERTIFIED_HOLDS, kind
+        assert verdict.budget_used == 0
+        assert verdict.detail.startswith("ratio profile")
+    assert "0.333333333333" in check_axiom(gamma, AxiomKind.RHO1).detail
+    assert classify(gamma).r_function.outcome is Outcome.CERTIFIED_HOLDS
 
 
 def test_check_axiom_rejects_an_empty_prefix():
@@ -166,7 +185,7 @@ def test_check_axiom_rejects_an_empty_prefix():
 
 
 def test_budget_exhaustion_is_an_outcome_not_an_error():
-    verdict = check_axiom(gallery("gamma"), AxiomKind.RHO2, budget=5)
+    verdict = check_axiom(CUSTOM_GAMMA, AxiomKind.RHO2, budget=5)
     assert verdict.outcome is Outcome.UNDETERMINED
     assert verdict.budget_used >= 5
 
