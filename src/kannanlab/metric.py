@@ -525,14 +525,22 @@ def random_space(
 ) -> FiniteMetricSpace:
     """Random metric space via shortest-path completion of random weights.
 
-    Positive symmetric edge weights are drawn uniformly, then closed under
-    shortest paths, which yields the triangle inequality by construction.
+    Positive symmetric edge weights are drawn uniformly from the finite
+    ``weight_range``, then closed under shortest paths by Floyd–Warshall
+    (see :func:`_close_under_shortest_paths`).  In exact arithmetic the
+    closure satisfies the triangle inequality; in floats a closed entry may
+    still exceed a rounded sum of two others by more than the absolute
+    ``DEFAULT_TOL`` (with weights spanning 1e-300 to 1e300, say), so the
+    table is validated by :func:`build_finite_space` and may raise
+    :class:`MetricInvalid`.
     """
     if n_points < 1:
         raise ValueError("n_points must be >= 1")
     lo, hi = weight_range
     if not 0 < lo <= hi:
         raise ValueError("weight_range must be positive and ordered")
+    if not math.isfinite(hi):
+        raise ValueError("weight_range must be finite")
     n = n_points
     dist = [[0.0] * n for _ in range(n)]
     for i in range(n):
@@ -540,14 +548,65 @@ def random_space(
             w = rng.uniform(lo, hi)
             dist[i][j] = w
             dist[j][i] = w
-    for k in range(n):
-        dk = dist[k]
-        for i in range(n):
-            dik = dist[i][k]
-            di = dist[i]
-            for j in range(n):
-                via = dik + dk[j]
-                if via < di[j]:
-                    di[j] = via
+    _close_under_shortest_paths(dist)
     labels = [f"p{i}" for i in range(n)]
     return build_finite_space(labels, dist)
+
+
+def _close_under_shortest_paths(dist: list[list[float]]) -> None:
+    """Floyd–Warshall in place on a symmetric table with a zero diagonal and
+    finite, positive entries off it, performing only the relaxations that
+    can lower an entry.
+
+    The plain loop runs, for each pivot k, ``d[i][j] = fl(d[i][k] + d[k][j])``
+    over all i, j whenever that sum is smaller.  This function leaves the
+    same table, bit for bit, because each relaxation it skips cannot lower
+    an entry and each it performs has the plain loop's operands:
+
+    - step k changes neither row k nor column k: d[k][k] = 0 and
+      fl(x + 0) = x, so the sum never falls below d[k][j] or d[i][k].  Every
+      relaxation of step k reads only those, so its operands are the values
+      at the start of the step, and rows may be visited in any order;
+    - the table stays symmetric, since fl(a + b) = fl(b + a): step k sets
+      d[i][j] and d[j][i] alike.  So d[i][k] = d[k][i], and the rows can be
+      visited in ascending d[k][i];
+    - entries stay finite and positive off the diagonal: a sum of positive
+      doubles is at least its larger operand, and an overflow to inf never
+      lowers an entry.  So row k, sorted, starts with k itself; skipping it
+      skips i = k and j = k, which change nothing;
+    - ``top[i]`` is max(row i) at all times: entries only fall, so the
+      maximum changes only when an entry equal to it falls, and then it is
+      recomputed;
+    - rounding is monotone, so fl(d[i][k] + d[k][j]) does not fall as j
+      runs over row k in ascending order.  Once it reaches ``top[i]`` it
+      is at least every entry left in row i, which ends the row.  With m
+      the least entry of row k off the diagonal, fl(d[i][k] + m) >= top[i]
+      ends it before the first j, and fl(d[i][k] + m) >= max(top), the
+      largest entry of the table at the start of the step, ends every row
+      after row i too: their d[i][k] is no smaller, and no entry rises.
+    """
+    top = [max(row) for row in dist]
+    for k, dk in enumerate(dist):
+        by_value = [(j, dk[j]) for j in sorted(range(len(dk)), key=dk.__getitem__)[1:]]
+        if not by_value:
+            return
+        least = by_value[0][1]
+        ceiling = max(top)
+        for i, dik in by_value:
+            low = dik + least
+            if low >= ceiling:
+                break
+            ti = top[i]
+            if low >= ti:
+                continue
+            di = dist[i]
+            stale = False
+            for j, dkj in by_value:
+                via = dik + dkj
+                if via >= ti:
+                    break
+                if via < di[j]:
+                    stale = stale or di[j] == ti
+                    di[j] = via
+            if stale:
+                top[i] = max(di)

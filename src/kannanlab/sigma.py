@@ -419,6 +419,9 @@ def _make_dominated(
         in_range = (lambda a: 0.0 < a <= 0.5) if closed else (lambda a: 0.0 < a < 0.5)
         a = _param(params, name, "alpha", in_range, f"0 < alpha {'<=' if closed else '<'} 1/2")
         alpha, m = (a,), slope(a)
+        # Only a halving slope reaches 0: from alpha = 5e-324, the least double.
+        if m == 0:
+            raise ParamOutOfRange(f"{name} requires alpha / 2 > 0; alpha={a!r} halves to 0")
     if not all(callable(h) for _, h in handles):
         raise ParamOutOfRange(" and ".join(f"{key}_fn" for key in defaults) + " must be callable")
     linear = _make_linear(name, m)
@@ -860,11 +863,9 @@ def _reduce_sigma2(ax: _Axiom, f: _Ratio, c: float):
     Every sigma2 cell that holds is certified by the member's interval,
     except for linear(m) at c >= 1/m rounded down to a float while m * c < 1
     exactly.  There eval's rounding can make the float function positive
-    where phi is not, so the search decides those cells.  An infinite c
-    has no ratio, and is searched too.
+    where phi is not, so the search decides those cells.  c is finite, as
+    :func:`check_axiom` requires.
     """
-    if c == float("inf"):
-        return None
     r = 1 / Fraction(c)
     if f.phi(r) > 0:
         return 0, 0
@@ -1029,16 +1030,17 @@ def check_axiom(
 
     Certificates, then the exact decision on a ratio profile, short-circuit
     the search; neither spends budget.  The limit-ratio axiom takes the
-    constant ``c``; values below 1 are accepted with a warning and are
-    vacuously true under the adopted reading (the paired limits cannot then
-    be ordered unless both are zero).
+    constant ``c``, which must be finite and > 0 (``ValueError`` otherwise,
+    also from :func:`classify`); values below 1 are accepted with a warning
+    and are vacuously true under the adopted reading (the paired limits
+    cannot then be ordered unless both are zero).
     """
     if prefix_len < 1:
         raise ValueError("prefix_len must be >= 1")
     certified = None
     if kind is AxiomKind.SIGMA2:
-        if not c > 0:
-            raise ValueError("c must be > 0")
+        if not 0 < c < float("inf"):
+            raise ValueError("c must be finite and > 0")
         if c < 1.0:
             warnings.warn(
                 f"limit-ratio constant c={c:g} below 1 is outside the usual range",

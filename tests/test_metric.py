@@ -1,7 +1,10 @@
+import hashlib
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from kannanlab import (
     HarmonicTruncation,
@@ -197,3 +200,68 @@ def test_random_space_satisfies_axioms():
     for _ in range(25):
         space = random_space(rng.randint(2, 10), rng)
         assert space.violations() == []
+
+
+def _closed_by_the_plain_loop(n, rng, weight_range):
+    """random_space's table: its weight draws, then the plain Floyd–Warshall
+    triple loop."""
+    dist = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            dist[i][j] = dist[j][i] = rng.uniform(*weight_range)
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                via = dist[i][k] + dist[k][j]
+                if via < dist[i][j]:
+                    dist[i][j] = via
+    return dist
+
+
+def _hex(dist):
+    return [[v.hex() for v in row] for row in dist]
+
+
+_WEIGHT_RANGES = [(0.5, 2.0), (1.0, 1.0), (0.1, 10.0), (1e-3, 1e3)]
+
+
+@given(
+    n=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+    weight_range=st.sampled_from(_WEIGHT_RANGES),
+)
+@example(n=1, seed=0, weight_range=(0.5, 2.0))
+@example(n=2, seed=0, weight_range=(0.5, 2.0))
+@example(n=120, seed=3, weight_range=(1e-3, 1e3))
+@settings(max_examples=60, deadline=None)
+def test_random_space_closes_its_table_as_the_plain_loop_does(n, seed, weight_range):
+    space = random_space(n, random.Random(seed), weight_range)
+    assert _hex(space.dist) == _hex(_closed_by_the_plain_loop(n, random.Random(seed), weight_range))
+
+
+@pytest.mark.parametrize(
+    "n, digest",
+    [
+        (120, "5be0d538315030f37ee04029fe89fb229138edafbf1353349a7887b3cf9311ac"),
+        (100, "47ad52e5936f85d62d1d61231f80c885b214ad434f090848a8d807aad717c56a"),
+    ],
+)
+def test_random_space_tables_are_pinned(n, digest):
+    """sha256 of every entry's float.hex, row by row, as the plain loop left it."""
+    dist = random_space(n, random.Random(7)).dist
+    assert hashlib.sha256(" ".join(v.hex() for row in dist for v in row).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("weight_range", [(0.5, math.inf), (math.inf, math.inf)])
+def test_random_space_rejects_an_infinite_weight_bound(weight_range):
+    with pytest.raises(ValueError, match="weight_range must be finite"):
+        random_space(3, random.Random(0), weight_range)
+
+
+def test_random_space_validates_its_closed_table():
+    """Weights from 1e-300 to 1e300 close to a table whose rounded triangles
+    fail by more than the absolute tolerance."""
+    with pytest.raises(MetricInvalid) as raised:
+        random_space(5, random.Random(1), (1e-300, 1e300))
+    assert raised.value.total == 4
+    assert raised.value.violations[0].kind is ViolationKind.TRIANGLE_FAILURE

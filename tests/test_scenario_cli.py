@@ -462,6 +462,13 @@ def test_cli_classify_certifies_theta_members_by_dominance(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("name", ["theta-pi", "theta-l"])
+def test_cli_classify_rejects_an_alpha_that_halves_to_zero(tmp_path, capsys, name):
+    doc = {**_EXPLICIT, "sigma": {"name": name, "alpha": 5e-324}}
+    assert main(["classify", write(tmp_path, "tiny.json", doc)]) == 3
+    assert "alpha / 2 > 0" in json.loads(capsys.readouterr().out)["error"]
+
+
 def test_cli_out_file_and_text_format(tmp_path, capsys):
     path = write(
         tmp_path,

@@ -58,6 +58,23 @@ def test_gallery_parameter_validation():
     gallery("theta-geraghty", alpha=0.5)
 
 
+@pytest.mark.parametrize("name", ["theta-pi", "theta-l"])
+def test_halving_members_reject_an_alpha_that_halves_to_zero(name):
+    with pytest.raises(ParamOutOfRange, match="alpha / 2 > 0"):
+        gallery(name, alpha=5e-324)
+    # The least alpha whose half is a double still builds.
+    assert gallery(name, alpha=1e-323).param("alpha") == 1e-323
+
+
+@pytest.mark.parametrize("c", [float("inf"), float("nan")])
+def test_a_non_finite_c_is_rejected(c):
+    beta = gallery("beta")
+    with pytest.raises(ValueError, match="c must be finite"):
+        check_axiom(beta, AxiomKind.SIGMA2, c=c)
+    with pytest.raises(ValueError, match="c must be finite"):
+        classify(beta, (1.0, c))
+
+
 def test_beta_sigma1_falsified_by_harmonic_family():
     beta = gallery("beta")
     verdict = check_axiom(beta, AxiomKind.SIGMA1)
