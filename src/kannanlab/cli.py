@@ -79,35 +79,34 @@ def main(argv=None) -> int:
         MalformedScenario,
         UnknownExample,
         PowerOverflow,
-        FileNotFoundError,
+        OSError,
     ) as e:
         body = {"error": str(e)}
         code = EXIT_INPUT
     except MetricInvalid as e:
         body = {
             "valid": False,
-            "violations": [_violation_dict(v) for v in e.violations],
+            "violations": [vars(v) for v in e.violations],
             "violations_total": e.total,
             "violations_truncated": e.total > len(e.violations),
         }
         code = EXIT_FALSIFIED
 
-    out = document(args.command, body)
-    text = render_json(out) if args.format == "json" else render_text(out)
-    sys.stdout.write(text)
+    render = render_json if args.format == "json" else render_text
+    text = render(document(args.command, body))
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            code, text = EXIT_INPUT, render(document(args.command, {"error": str(e)}))
+    sys.stdout.write(text)
     return code
 
 
 def _load(args) -> ScenarioDoc:
     flags = {"mode": args.mode, "tol": args.tol, "max_iter": args.max_iter, "seed": args.seed}
     return parse_scenario(args.target, {k: v for k, v in flags.items() if v is not None})
-
-
-def _violation_dict(v) -> dict:
-    return {"kind": v.kind.value, "indices": list(v.indices), "values": list(v.values)}
 
 
 def _scenario_echo(doc: ScenarioDoc) -> dict:
@@ -219,16 +218,7 @@ def _cmd_solve(args, doc: ScenarioDoc):
     }
     if len(result.trace.points) >= 2:
         diag = diagnose(result.trace, sc.space, sc.t_map, sc.s_map, tol=sc.tol)
-        body["diagnostics"] = {
-            "asymptotically_regular": diag.asymptotically_regular,
-            "step_tail": diag.step_tail,
-            "s_bounded": diag.s_bounded,
-            "s_diameter": diag.s_diameter,
-            "s_cauchy": diag.s_cauchy,
-            "final_c": diag.final_c,
-            "s_asymptotically_similar": diag.s_asymptotically_similar,
-            "similarity_tail": diag.similarity_tail,
-        }
+        body["diagnostics"] = vars(diag)
     if result.kind in (SolveKind.FIXED_POINT, SolveKind.COINCIDENCE_POINT):
         code = EXIT_OK
     elif result.kind is SolveKind.BUDGET_EXHAUSTED:
@@ -243,20 +233,11 @@ def _cmd_theorem(args, doc: ScenarioDoc):
     if sc.theorem is None:
         raise ValidationError("theorem", "scenario has no theorem section")
     report = run_theorem(sc)
-    hypotheses = [
-        {"name": h.name, "status": h.status.value, "evidence": h.evidence}
-        for h in report.hypotheses
-    ]
     body = {
         "scenario": _scenario_echo(doc),
         "theorem": report.theorem,
-        "hypotheses": hypotheses,
-        "conclusion": {
-            "expected": report.conclusion.expected,
-            "observed": report.conclusion.observed,
-            "match": report.conclusion.match,
-            "contradicted": report.conclusion.contradicted,
-        },
+        "hypotheses": [vars(h) for h in report.hypotheses],
+        "conclusion": vars(report.conclusion),
     }
     if report.all_hold and report.conclusion.match:
         code = EXIT_OK

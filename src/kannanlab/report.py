@@ -5,13 +5,14 @@ indent, ASCII-escaped strings) or as one ``path: value`` line per leaf.
 Floats are written at 12 significant digits, and NaN, inf and -inf as the
 strings ``"nan"``, ``"inf"`` and ``"-inf"``; keys are stringified, the last
 one winning when two stringify alike (``1`` and ``"1"``); tuples are written
-as lists.  So identical runs produce byte-identical documents suitable for
-golden-file comparison.
+as lists, and an ``Enum`` member as its value.  So identical runs produce
+byte-identical documents suitable for golden-file comparison.
 """
 
 from __future__ import annotations
 
 import math
+from enum import Enum
 from json.encoder import encode_basestring_ascii as _quote
 
 FORMAT_VERSION = "1"
@@ -56,6 +57,8 @@ def _write(value, newline: str, out: list[str]) -> None:
         out.append("null" if value is None else "true" if value else "false")
     elif isinstance(value, int):
         out.append(int.__repr__(value))
+    elif isinstance(value, Enum):
+        _write(value.value, newline, out)
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
@@ -78,6 +81,9 @@ def _flatten(prefix: str, value, lines: list[str]) -> None:
         return
     if isinstance(value, float):
         value = _round(value)
+    elif isinstance(value, Enum):
+        _flatten(prefix, value.value, lines)
+        return
     lines.append(f"{prefix.rstrip('.')}: {value}")
 
 

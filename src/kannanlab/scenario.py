@@ -92,9 +92,10 @@ class ScenarioDoc:
 
 
 def parse_scenario(path, overrides: dict | None = None) -> ScenarioDoc:
-    text = Path(path).read_text()
     try:
-        raw = json.loads(text, object_pairs_hook=_unique_keys)
+        raw = json.loads(Path(path).read_text("utf-8"), object_pairs_hook=_unique_keys)
+    except UnicodeDecodeError as e:
+        raise ParseError(f"byte {e.start}: not UTF-8 ({e.reason})") from None
     except json.JSONDecodeError as e:
         raise ParseError(f"line {e.lineno} column {e.colno}: {e.msg}") from None
     if not isinstance(raw, dict):

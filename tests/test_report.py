@@ -3,16 +3,19 @@
 import gc
 import json
 import math
+from enum import Enum
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from kannanlab import HypothesisStatus, ViolationKind
 from kannanlab.builtins import EXAMPLE_IDS
 from kannanlab.cli import main
 from kannanlab.report import render_json, render_text
 
 GOLDEN_DIR = Path(__file__).parent / "cli_golden"
+PIN_DIR = Path(__file__).parent / "cli_pins"
 
 
 def round_floats_restated(value):
@@ -69,6 +72,28 @@ def test_cli_reproduce_output_is_byte_identical_to_the_pinned_file(example_id, f
     assert capsys.readouterr().out.encode() == (GOLDEN_DIR / f"{example_id}.{fmt}").read_bytes()
 
 
+#: Each pinned command with its exit code; ``PIN_DIR`` holds its scenario
+#: ``<command>.scenario.json`` and its report in both formats.
+PINNED_COMMANDS = {"solve": 0, "theorem": 0, "validate": 1}
+
+
+def test_cli_pins_cover_exactly_the_pinned_commands():
+    assert sorted(p.name for p in PIN_DIR.iterdir()) == sorted(
+        f"{command}.{suffix}" for command in PINNED_COMMANDS
+        for suffix in ("scenario.json", "json", "text")
+    )
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("command", sorted(PINNED_COMMANDS))
+def test_cli_command_output_is_byte_identical_to_the_pinned_file(command, fmt, capsys):
+    # solve reaches the diagnostics, theorem T3.18 the hypotheses and the
+    # conclusion, validate the violations of a rejected table.
+    scenario = PIN_DIR / f"{command}.scenario.json"
+    assert main([command, str(scenario), "--format", fmt]) == PINNED_COMMANDS[command]
+    assert capsys.readouterr().out.encode() == (PIN_DIR / f"{command}.{fmt}").read_bytes()
+
+
 # -- the writer against the old renderer ---------------------------------------
 
 SPECIAL_FLOATS = [
@@ -120,6 +145,14 @@ def test_render_json_rejects_unsupported_leaves(doc):
         render_json_restated(doc)
     with pytest.raises(TypeError):
         render_json(doc)
+
+
+def test_an_enum_member_renders_as_its_value():
+    ratio = Enum("Ratio", {"THIRD": 1 / 3})
+    doc = {"kind": ViolationKind.ASYMMETRY, "statuses": (HypothesisStatus.HOLDS,), "r": ratio.THIRD}
+    plain = {"kind": "Asymmetry", "statuses": ["holds"], "r": 1 / 3}
+    assert render_json(doc) == render_json(plain)
+    assert render_text(doc) == render_text(plain)
 
 
 # -- no cyclic garbage ---------------------------------------------------------

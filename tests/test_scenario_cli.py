@@ -491,7 +491,36 @@ def test_cli_out_file_and_text_format(tmp_path, capsys):
 
 def test_cli_missing_file_is_input_error(capsys):
     assert main(["check", "/nonexistent/scenario.json"]) == 3
-    capsys.readouterr()
+    assert json.loads(capsys.readouterr().out)["error"] == (
+        "[Errno 2] No such file or directory: '/nonexistent/scenario.json'"
+    )
+
+
+def test_cli_unreadable_target_is_input_error(tmp_path, capsys):
+    directory = tmp_path / "scenario.json"
+    directory.mkdir()
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"space": {"type": "builtin", "name": "\u00e9"}}'.encode("latin-1"))
+    for target, error in (
+        (directory, f"[Errno 21] Is a directory: '{directory}'"),
+        (latin1, "byte 39: not UTF-8 (invalid continuation byte)"),
+    ):
+        assert main(["check", str(target)]) == 3
+        assert json.loads(capsys.readouterr().out)["error"] == error
+
+
+def test_cli_unwritable_out_path_is_input_error(tmp_path, capsys):
+    path = write(tmp_path, "s.json", {"space": {"type": "builtin", "name": "ex-3.24"}})
+    for out, error in (
+        (tmp_path, f"[Errno 21] Is a directory: '{tmp_path}'"),
+        (tmp_path / "missing" / "report.json",
+         f"[Errno 2] No such file or directory: '{tmp_path / 'missing' / 'report.json'}'"),
+    ):
+        assert main(["validate", path, "--out", str(out)]) == 3
+        # stdout carries the error document alone, not the report.
+        assert json.loads(capsys.readouterr().out) == {
+            "command": "validate", "error": error, "format_version": "1",
+        }
 
 
 def test_cli_theorem_without_sigma_is_input_error(tmp_path, capsys):

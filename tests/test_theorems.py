@@ -6,6 +6,7 @@ from kannanlab import (
     HypothesisStatus,
     MalformedScenario,
     Scenario,
+    SelfMap,
     UnknownExample,
     brute_force_points,
     build_finite_space,
@@ -18,7 +19,10 @@ from kannanlab import (
     reproduce,
     run_theorem,
     solve,
+    space_from_values,
+    theorems,
 )
+from kannanlab.cli import main
 
 def test_five_point_main_theorem_all_hold_and_match():
     report = run_theorem(builtin_scenario("ex-3.24"))
@@ -216,6 +220,60 @@ def test_reproduce_all_examples_match():
 def test_reproduce_unknown_example():
     with pytest.raises(UnknownExample):
         reproduce("ex-9.99")
+
+
+_LOAD_GOLDEN = theorems._load_golden
+
+
+def _reproduce_ex_3_34_against(monkeypatch, edit):
+    """``reproduce("ex-3.34")`` against its golden document after ``edit``."""
+    golden = _LOAD_GOLDEN("ex-3.34")
+    edit(golden["spot_pair"])
+    monkeypatch.setattr(theorems, "_load_golden", lambda example_id: golden)
+    return reproduce("ex-3.34")
+
+
+def test_reproduce_matches_only_what_it_prints_alike(monkeypatch, capsys):
+    # The golden t is 0.000298566529492; one differing 10th digit is a mismatch.
+    result = _reproduce_ex_3_34_against(monkeypatch, lambda spot: spot.update(t=0.0002985665299))
+    assert not result.match
+    assert result.mismatches == (
+        "golden spot_pair.t: 0.0002985665299",
+        "computed spot_pair.t: 0.000298566529492",
+    )
+    assert main(["reproduce", "ex-3.34", "--format", "text"]) == 1
+    assert "mismatches.0: golden spot_pair.t: 0.0002985665299" in capsys.readouterr().out
+
+
+def test_reproduce_names_a_key_only_one_side_has(monkeypatch):
+    missing = _reproduce_ex_3_34_against(monkeypatch, lambda spot: spot.update(u=1))
+    assert not missing.match
+    assert missing.mismatches == ("golden spot_pair.u: 1",)
+    extra = _reproduce_ex_3_34_against(monkeypatch, lambda spot: spot.pop("x"))
+    assert not extra.match
+    assert extra.mismatches == ("computed spot_pair.x: 1/4",)
+    untouched = _reproduce_ex_3_34_against(monkeypatch, lambda spot: None)
+    assert untouched.match and untouched.mismatches == ()
+
+
+@pytest.mark.parametrize(
+    "sigma", [gallery("tau"), *(gallery("linear", slope=m) for m in (0.500001, 0.6, 0.75, 0.999999))]
+)
+def test_t333_refuses_a_two_cycle_through_sigma1(sigma):
+    # On 0, 1, 2 with S the identity, T = (1, 0, 0) cycles 0 <-> 1 and has no
+    # fixed point, yet d(Tx, Ty) < m (d(x, Tx) + d(y, Ty)) on every pair with
+    # distinct images once m > 1/2.  Only the sigma_c class hypotheses
+    # (sigma1) rule such a linear(m) out.
+    space = space_from_values([0, 1, 2])
+    report = run_theorem(
+        Scenario(space=space, t_map=SelfMap(space, (1, 0, 0)), s_map=identity_map(space),
+                 sigma=sigma, theorem="T3.33")
+    )
+    status = {h.name: h.status for h in report.hypotheses}
+    assert status.pop("sigma1") is HypothesisStatus.FAILS
+    assert set(status.values()) == {HypothesisStatus.HOLDS}
+    assert not report.conclusion.match
+    assert not report.conclusion.contradicted
 
 
 def test_random_condition_pair_generator_properties():
