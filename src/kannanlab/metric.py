@@ -527,12 +527,13 @@ def random_space(
 
     Positive symmetric edge weights are drawn uniformly from the finite
     ``weight_range``, then closed under shortest paths by Floyd–Warshall
-    (see :func:`_close_under_shortest_paths`).  In exact arithmetic the
-    closure satisfies the triangle inequality; in floats a closed entry may
-    still exceed a rounded sum of two others by more than the absolute
-    ``DEFAULT_TOL`` (with weights spanning 1e-300 to 1e300, say), so the
-    table is validated by :func:`build_finite_space` and may raise
-    :class:`MetricInvalid`.
+    (see :func:`_close_under_shortest_paths`).  When
+    :func:`_closure_is_metric` proves the closed table valid, the space is
+    built without the O(n^3) scan.  Otherwise a closed entry may exceed a
+    rounded sum of two others by more than the absolute ``DEFAULT_TOL``
+    (with weights spanning 1e-300 to 1e300, say), so
+    :func:`build_finite_space` validates the table, with the same result
+    and the same exceptions, and may raise :class:`MetricInvalid`.
     """
     if n_points < 1:
         raise ValueError("n_points must be >= 1")
@@ -550,7 +551,52 @@ def random_space(
             dist[j][i] = w
     _close_under_shortest_paths(dist)
     labels = [f"p{i}" for i in range(n)]
+    if _closure_is_metric(n, max(map(max, dist)), DEFAULT_TOL):
+        return FiniteMetricSpace(tuple(labels), tuple(map(tuple, dist)), DEFAULT_TOL)
     return build_finite_space(labels, dist)
+
+
+def _closure_is_metric(n: int, top: float, tol: float) -> bool:
+    """True when the n-point table that :func:`_close_under_shortest_paths`
+    left from finite positive weights, with largest entry ``top``, passes
+    :func:`find_violations`.
+
+    Sufficient, not necessary: ``top`` is finite, n <= 2**46 (any table
+    that fits in memory), and ``tol >= 8 n u top`` with u = 2**-53.
+    In IEEE binary64 round-to-nearest arithmetic with gradual underflow,
+    each check of the scan then passes:
+
+    - diagonal, symmetry and positivity: the closure's docstring proves the
+      table exactly symmetric with a zero diagonal and finite positive
+      entries off it;
+    - triangle: that table is the plain Floyd–Warshall loop's.  Let δ be
+      the exact shortest-path metric of the weights and δ^(k) the exact
+      table after pivots 0 .. k-1, so δ^(k)[i][j] = min(δ^(k-1)[i][j],
+      δ^(k-1)[i][k] + δ^(k-1)[k][j]), and d^(k) the computed one, which
+      takes the computed sum in place of the exact one.  A float sum has
+      relative error at most u, also when it is subnormal (it is then
+      exact), and rounding is monotone, so by induction over pivots
+      (1 - u)**k δ^(k) <= d^(k) <= (1 + u)**k δ^(k) entrywise; a sum that
+      overflows exceeds the largest double and is never stored, so it
+      leaves the upper bound too.  Hence, with d = d^(n), for any i, j, k
+      the stored r = d[i][k] and the computed s = fl(d[i][j] + d[j][k])
+      satisfy, as δ[i][k] <= δ[i][j] + δ[j][k] <= 2 top / (1 - u)**n,
+      r - s <= ((1 + u)**n - (1 - u)**(n + 1)) (δ[i][j] + δ[j][k])
+      <= (4n + 2) u top (1 + 1/64) =: E, using n u <= 2**-7.
+      The bound b = ``fl(8 n u top)`` (8 n u is exact) is at least
+      8 n u top (1 - u) - 2**-1075, the last term being the absolute error
+      of a subnormal product.  Any positive r - s is a difference of two
+      doubles, so at least 2**-1074, which forces u top >= 2**-1074 / E'
+      with E' = (4n + 2)(1 + 1/64); then for n >= 2,
+      b - E >= ((8n (1 - u) - E') / E' - 1/2) 2**-1074 > 0.  So
+      r <= s + ``tol``, and by monotone rounding r <= fl(s + tol): the
+      scan's test ``dist[i][k] > dist[i][j] + dist[j][k] + tol`` never
+      fires.  For n = 1 the table is [[0.0]], and r - s = 0.  The bounds
+      are those of float sums of positive terms (Higham, Accuracy and
+      Stability of Numerical Algorithms, 2nd ed., 2002, §4.2), applied to
+      Floyd's algorithm (CACM 5(6), 1962).
+    """
+    return n <= 2**46 and math.isfinite(top) and tol >= 8 * n * _UNIT_ROUNDOFF * top
 
 
 def _close_under_shortest_paths(dist: list[list[float]]) -> None:

@@ -105,12 +105,14 @@ def run_picard_pair(
 ) -> PicardTrace:
     """Realize a chain of the pair from a base point.
 
-    The chain stops at a coincidence (step distance within tol), at a
-    break, at the iteration cap, or shortly after the first revisit; in the
-    last case it is unrolled far enough past the detection for tail-window
-    diagnostics to see the settled behaviour.  ``policy`` selects among
-    several S-preimages: the default takes the first in label order, or a
-    callable receives the candidate tuple and returns one of its members.
+    The chain stops at a coincidence (S and T send the current point to the
+    same point, decided by index), at a break, at the iteration cap, or
+    shortly after the first revisit; in the last case it is unrolled far
+    enough past the detection for tail-window diagnostics to see the settled
+    behaviour.  ``policy`` selects among several S-preimages: the default
+    takes the first in label order, or a callable receives the candidate
+    tuple and returns one of its members.  ``tol`` is inert: no point
+    identity is decided with a tolerance.
     """
     require_same_space(space, t_map, s_map)
     if max_iter < 1:
@@ -144,7 +146,7 @@ def run_picard_pair(
     t_images = [t_of[start]]
     steps = [d(s_images[0], t_images[0])]
     positions = {start: 0}
-    coincidence = 0 if steps[0] <= tol else None
+    coincidence = 0 if s_images[0] == t_images[0] else None
     cycle: Cycle | None = None
     broken: int | None = None
     limit = max_iter
@@ -166,7 +168,7 @@ def run_picard_pair(
         s_images.append(s_of[nxt])
         t_images.append(t_of[nxt])
         steps.append(d(s_images[-1], t_images[-1]))
-        if steps[-1] <= tol:
+        if s_images[-1] == t_images[-1]:
             coincidence = idx
 
     c_seq = _suffix_supremum(space, s_images)
@@ -225,7 +227,9 @@ def diagnose(
     A trace that ended in a coincidence continues constantly at that point,
     so its step distances and suffix suprema are eventually zero; the
     regularity and Cauchy flags account for that continuation.  All numbers
-    reported are recomputable from the trace and the space.
+    reported are recomputable from the trace and the space.  The flags ask
+    whether tail distances are 0, which on a validated space means that the
+    points coincide, so they compare indices; ``tol`` is inert.
     """
     require_same_space(space, t_map, s_map)
     if len(trace.points) < 2:
@@ -233,24 +237,21 @@ def diagnose(
     at_coincidence = trace.coincidence_index is not None
 
     step_tail = max(trace.step_distances[-window:])
-    regular = at_coincidence or step_tail <= tol
+    regular = at_coincidence or trace.s_images[-window:] == trace.t_images[-window:]
 
     s_diameter = trace.c_sequence[0] if trace.c_sequence else 0.0
     # The very last suffix supremum is trivially zero; read the value at the
     # start of the tail window so it spans the settled behaviour.
     final_c = trace.c_sequence[max(0, len(trace.c_sequence) - window)]
-    cauchy = at_coincidence or final_c <= tol
+    cauchy = at_coincidence or len(set(trace.s_images[-window:])) == 1
 
     d = space.d
     t_of = t_map.assignment
     s_of = s_map.assignment
-    if at_coincidence:
-        x = trace.points[trace.coincidence_index]
-        similarity_tail = d(t_of[s_of[x]], s_of[s_of[x]])
-    else:
-        tail = trace.points[-window:]
-        similarity_tail = max(d(t_of[s_of[x]], s_of[s_of[x]]) for x in tail)
-    similar = similarity_tail <= tol
+    # A trace ends at its coincidence.
+    tail = trace.points[-1:] if at_coincidence else trace.points[-window:]
+    similarity_tail = max(d(t_of[s_of[x]], s_of[s_of[x]]) for x in tail)
+    similar = all(t_of[s_of[x]] == s_of[s_of[x]] for x in tail)
 
     return DiagnosticsReport(
         asymptotically_regular=regular,
@@ -294,7 +295,8 @@ def solve(
 
     Without an explicit base the first chain-admitting point is used; when
     none exists anywhere, :class:`NoClrBase` is raised.  A coincidence with
-    the second map being the identity is reported as a fixed point.
+    the second map being the identity is reported as a fixed point.  ``tol``
+    is passed on to :func:`run_picard_pair`, where it is inert.
     """
     if x0 is None:
         x0 = find_clr_base(space, t_map, s_map)

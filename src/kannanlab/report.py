@@ -65,26 +65,43 @@ def _write(value, newline: str, out: list[str]) -> None:
 
 def render_text(doc: dict) -> str:
     lines: list[str] = []
-    _flatten("", doc, lines)
+    _flatten("", doc, lines, str)
     return "\n".join(lines) + "\n"
 
 
-def _flatten(prefix: str, value, lines: list[str]) -> None:
+def typed_lines(doc: dict) -> list[str]:
+    """The lines of :func:`render_text` with each value as its JSON text, so
+    that ``"1"`` and ``1`` print differently, and a line ``path: {}`` or
+    ``path: []`` before the lines of each object or array."""
+    lines: list[str] = []
+    _flatten("", doc, lines, _json_text)
+    return lines
+
+
+def _json_text(value) -> str:
+    out: list[str] = []
+    _write(value, "\n", out)
+    return "".join(out)
+
+
+def _flatten(prefix: str, value, lines: list[str], leaf) -> None:
+    if leaf is _json_text and isinstance(value, (dict, list, tuple)):
+        lines.append(f"{prefix.rstrip('.')}: {'{}' if isinstance(value, dict) else '[]'}")
     if isinstance(value, dict):
         items = dict(zip(map(str, value), value.values()))
         for key in sorted(items):
-            _flatten(f"{prefix}{key}." if prefix else f"{key}.", items[key], lines)
+            _flatten(f"{prefix}{key}." if prefix else f"{key}.", items[key], lines, leaf)
         return
     if isinstance(value, (list, tuple)):
         for i, item in enumerate(value):
-            _flatten(f"{prefix}{i}.", item, lines)
+            _flatten(f"{prefix}{i}.", item, lines, leaf)
         return
     if isinstance(value, float):
         value = _round(value)
     elif isinstance(value, Enum):
-        _flatten(prefix, value.value, lines)
+        _flatten(prefix, value.value, lines, leaf)
         return
-    lines.append(f"{prefix.rstrip('.')}: {value}")
+    lines.append(f"{prefix.rstrip('.')}: {leaf(value)}")
 
 
 def witness_summary(w, first_terms: int = 0) -> dict | None:

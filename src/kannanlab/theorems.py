@@ -51,7 +51,14 @@ from .picard import (
     run_picard_pair,
     solve,
 )
-from .report import condition_summary, render_text, solve_summary, witness_summary
+from .report import (
+    condition_summary,
+    render_json,
+    render_text,
+    solve_summary,
+    typed_lines,
+    witness_summary,
+)
 from .sigma import AxiomKind, ComparisonFn, Outcome, check_axiom, classify, gallery
 
 
@@ -543,21 +550,33 @@ class ReproduceReport:
 def reproduce(example_id: str) -> ReproduceReport:
     """Run a builtin entry and compare it with its stored expected values.
 
-    The two match exactly when their text reports print the same
-    ``path: value`` lines; each line that only one side prints is a mismatch.
+    The two match exactly when their JSON reports are the same text.  Each
+    ``path: value`` line of the text report that only one side prints is a
+    mismatch; when the sides differ only in JSON types, each line of
+    :func:`~kannanlab.report.typed_lines` that only one side prints is.  A
+    difference that not even those show (keys holding dots that collide
+    with nested paths) is one mismatch saying that the JSON differs.
     """
     if example_id not in _COMPUTERS:
         raise UnknownExample(f"unknown example id {example_id!r}")
     computed = _COMPUTERS[example_id]()
     golden = _load_golden(example_id)
-    want = render_text(golden).splitlines()
-    got = render_text(computed).splitlines()
-    mismatches = []
-    if want != got:
-        want_set, got_set = set(want), set(got)
-        mismatches = [f"golden {line}" for line in want if line not in got_set]
-        mismatches += [f"computed {line}" for line in got if line not in want_set]
+    mismatches: list[str] = []
+    if render_json(golden) != render_json(computed):
+        mismatches = (
+            _unshared(render_text(golden).splitlines(), render_text(computed).splitlines())
+            or _unshared(typed_lines(golden), typed_lines(computed))
+            or ["golden and computed JSON differ"]
+        )
     return ReproduceReport(example_id, computed, golden, tuple(mismatches))
+
+
+def _unshared(want: list[str], got: list[str]) -> list[str]:
+    """The lines that only the golden or only the computed side prints."""
+    want_set, got_set = set(want), set(got)
+    return [f"golden {line}" for line in want if line not in got_set] + [
+        f"computed {line}" for line in got if line not in want_set
+    ]
 
 
 def _load_golden(example_id: str) -> dict:

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from kannanlab import metric
 from kannanlab import (
     HarmonicTruncation,
     ImageOutOfSpace,
@@ -265,3 +266,71 @@ def test_random_space_validates_its_closed_table():
         random_space(5, random.Random(1), (1e-300, 1e300))
     assert raised.value.total == 4
     assert raised.value.violations[0].kind is ViolationKind.TRIANGLE_FAILURE
+
+
+_PROVED_WEIGHT_RANGES = [
+    (0.5, 2.0),
+    (1.0, 1.0),
+    (1e-3, 1e3),
+    (5e-324, 1e-300),
+    (1e-10, 1e10),
+    (1e-300, 1e300),
+]
+
+
+@given(
+    n=st.integers(1, 60),
+    seed=st.integers(0, 2**32 - 1),
+    weight_range=st.sampled_from(_PROVED_WEIGHT_RANGES),
+)
+@example(n=5, seed=1, weight_range=(1e-300, 1e300))
+@example(n=60, seed=0, weight_range=(5e-324, 1e-300))
+@settings(max_examples=80, deadline=None)
+def test_random_space_builds_what_validation_of_its_table_builds(n, seed, weight_range):
+    """Proved or scanned, random_space returns the space that validating the
+    same closed table returns, or raises the same MetricInvalid."""
+    table = _closed_by_the_plain_loop(n, random.Random(seed), weight_range)
+    labels = [f"p{i}" for i in range(n)]
+    try:
+        expected = build_finite_space(labels, table)
+    except MetricInvalid as invalid:
+        with pytest.raises(MetricInvalid) as raised:
+            random_space(n, random.Random(seed), weight_range)
+        assert (raised.value.total, raised.value.violations) == (invalid.total, invalid.violations)
+        return
+    space = random_space(n, random.Random(seed), weight_range)
+    assert space == expected
+    if metric._closure_is_metric(n, max(map(max, table)), metric.DEFAULT_TOL):
+        assert find_violations(space.dist) == []
+
+
+@given(
+    n=st.integers(1, 60),
+    seed=st.integers(0, 2**32 - 1),
+    weight_range=st.sampled_from(_PROVED_WEIGHT_RANGES),
+)
+@settings(max_examples=80, deadline=None)
+def test_a_closed_table_passes_the_scan_at_the_proved_tolerance(n, seed, weight_range):
+    """_closure_is_metric's bound itself: the least tol it accepts for the
+    table passes the scan, whatever the scale of the weights."""
+    table = _closed_by_the_plain_loop(n, random.Random(seed), weight_range)
+    top = max(map(max, table))
+    tol = 8 * n * 2**-53 * top
+    assert metric._closure_is_metric(n, top, tol)
+    assert find_violations(table, tol) == []
+
+
+def _refuse_to_scan(*args):
+    raise AssertionError("the table was scanned")
+
+
+@pytest.mark.parametrize("n", [120, 100])
+def test_random_space_skips_the_scan_on_a_proved_table(n, monkeypatch):
+    monkeypatch.setattr(metric, "_scan", _refuse_to_scan)
+    random_space(n, random.Random(7))
+
+
+def test_random_space_scans_a_table_the_proof_does_not_cover(monkeypatch):
+    monkeypatch.setattr(metric, "_scan", _refuse_to_scan)
+    with pytest.raises(AssertionError, match="the table was scanned"):
+        random_space(5, random.Random(1), (1e-300, 1e300))

@@ -17,6 +17,7 @@ from kannanlab import (
     run_picard_pair,
     solve,
     SelfMap,
+    space_from_values,
 )
 
 
@@ -158,6 +159,23 @@ def test_solve_outcomes(five_point, three_point, harmonic50):
     fixed = solve(hspace, ht, hs, x0="0")
     assert fixed.kind is SolveKind.COINCIDENCE_POINT
     assert fixed.point == "0"
+
+
+def test_coincidence_is_decided_by_index_not_by_tolerance():
+    # d(0, 5e-10) is below the default tol, yet T moves 0 to 5e-10: the
+    # chain 0 -> 5e-10 -> 0 is a 2-cycle, and T has no fixed point.
+    space = space_from_values([0, 5e-10, 1])
+    t_map = SelfMap(space, (1, 0, 0))
+    ident = identity_map(space)
+    result = solve(space, t_map, ident)
+    assert result.kind is SolveKind.CYCLE
+    assert set(result.cycle_points) == {"0", "5e-10"}
+    assert brute_force_points(space, t_map, ident).fixed_points == ()
+    report = diagnose(result.trace, space, t_map, ident)
+    assert report.step_tail == report.final_c == 5e-10
+    assert not report.asymptotically_regular
+    assert not report.s_cauchy
+    assert not report.s_asymptotically_similar
 
 
 def test_solve_single_point_space():

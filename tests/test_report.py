@@ -74,7 +74,7 @@ def test_cli_reproduce_output_is_byte_identical_to_the_pinned_file(example_id, f
 
 #: Each pinned command with its exit code; ``PIN_DIR`` holds its scenario
 #: ``<command>.scenario.json`` and its report in both formats.
-PINNED_COMMANDS = {"solve": 0, "theorem": 0, "validate": 1}
+PINNED_COMMANDS = {"check": 1, "classify": 1, "solve": 0, "theorem": 0, "validate": 1}
 
 
 def test_cli_pins_cover_exactly_the_pinned_commands():
@@ -87,8 +87,9 @@ def test_cli_pins_cover_exactly_the_pinned_commands():
 @pytest.mark.parametrize("fmt", ["json", "text"])
 @pytest.mark.parametrize("command", sorted(PINNED_COMMANDS))
 def test_cli_command_output_is_byte_identical_to_the_pinned_file(command, fmt, capsys):
-    # solve reaches the diagnostics, theorem T3.18 the hypotheses and the
-    # conclusion, validate the violations of a rejected table.
+    # check reaches a failing sweep's witness, classify a falsified class
+    # with its witness, solve the diagnostics, theorem T3.18 the hypotheses
+    # and the conclusion, validate the violations of a rejected table.
     scenario = PIN_DIR / f"{command}.scenario.json"
     assert main([command, str(scenario), "--format", fmt]) == PINNED_COMMANDS[command]
     assert capsys.readouterr().out.encode() == (PIN_DIR / f"{command}.{fmt}").read_bytes()

@@ -245,6 +245,23 @@ def test_reproduce_matches_only_what_it_prints_alike(monkeypatch, capsys):
     assert "mismatches.0: golden spot_pair.t: 0.0002985665299" in capsys.readouterr().out
 
 
+def test_reproduce_matches_json_types_too(monkeypatch, capsys):
+    # The text report prints the string "0.000298566529492" as it prints the
+    # float; the JSON report does not.
+    result = _reproduce_ex_3_34_against(monkeypatch, lambda spot: spot.update(t=str(spot["t"])))
+    assert not result.match
+    assert result.mismatches == (
+        'golden spot_pair.t: "0.000298566529492"',
+        "computed spot_pair.t: 0.000298566529492",
+    )
+    assert main(["reproduce", "ex-3.34"]) == 1
+    capsys.readouterr()
+    golden = _LOAD_GOLDEN("ex-3.34")
+    golden["fixed_points"] = dict(enumerate(golden["fixed_points"]))
+    monkeypatch.setattr(theorems, "_load_golden", lambda example_id: golden)
+    assert reproduce("ex-3.34").mismatches == ("golden fixed_points: {}", "computed fixed_points: []")
+
+
 def test_reproduce_names_a_key_only_one_side_has(monkeypatch):
     missing = _reproduce_ex_3_34_against(monkeypatch, lambda spot: spot.update(u=1))
     assert not missing.match
