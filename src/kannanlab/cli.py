@@ -207,7 +207,7 @@ def _cmd_solve(args, doc: ScenarioDoc):
     try:
         result = solve(
             sc.space, sc.t_map, sc.s_map, doc.solve_x0,
-            policy=sc.policy, max_iter=sc.max_iter, tol=sc.tol,
+            policy=sc.policy, max_iter=sc.max_iter,
         )
     except NoClrBase as e:
         return EXIT_FALSIFIED, {"scenario": _scenario_echo(doc), "error": str(e)}
@@ -217,7 +217,7 @@ def _cmd_solve(args, doc: ScenarioDoc):
         "trace": _trace_summary(result.trace),
     }
     if len(result.trace.points) >= 2:
-        diag = diagnose(result.trace, sc.space, sc.t_map, sc.s_map, tol=sc.tol)
+        diag = diagnose(result.trace, sc.space, sc.t_map, sc.s_map)
         body["diagnostics"] = vars(diag)
     if result.kind in (SolveKind.FIXED_POINT, SolveKind.COINCIDENCE_POINT):
         code = EXIT_OK

@@ -296,15 +296,13 @@ def solve(
     Without an explicit base the first chain-admitting point is used; when
     none exists anywhere, :class:`NoClrBase` is raised.  A coincidence with
     the second map being the identity is reported as a fixed point.  ``tol``
-    is passed on to :func:`run_picard_pair`, where it is inert.
+    is inert: no point identity is decided with a tolerance.
     """
     if x0 is None:
         x0 = find_clr_base(space, t_map, s_map)
         if x0 is None:
             raise NoClrBase("no point admits an unbroken chain of the pair")
-    trace = run_picard_pair(
-        space, t_map, s_map, x0, policy=policy, max_iter=max_iter, tol=tol
-    )
+    trace = run_picard_pair(space, t_map, s_map, x0, policy=policy, max_iter=max_iter)
     if trace.coincidence_index is not None:
         idx = trace.points[trace.coincidence_index]
         kind = SolveKind.FIXED_POINT if s_map.is_identity else SolveKind.COINCIDENCE_POINT

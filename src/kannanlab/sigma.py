@@ -3,18 +3,19 @@
 A comparison function sigma(t, s) drives every contraction condition in the
 package.  The interesting axioms quantify over *all* positive sequences,
 which no finite computation can certify, so verdicts form a three-way
-lattice: a closed-form certificate attached to a gallery member, or the
-exact decision on its ratio profile, yields ``CERTIFIED_HOLDS``; a
-replayable counterexample yields ``FALSIFIED``; and an exhausted search
-budget yields ``UNDETERMINED``.
+lattice: the exact decision on a gallery member's ratio profile, or a
+closed-form certificate attached to a member without one, yields
+``CERTIFIED_HOLDS``; a replayable counterexample yields ``FALSIFIED``; and
+an exhausted search budget yields ``UNDETERMINED``.
 
 Gallery members whose eval is s * phi(t / s) (gamma, beta, chi, tau,
-linear, and psi-phi, theta-pi and theta-l through the linear(m) they
-equal) or phi(t / s) (the step functions), with the package's own
-handles, carry that profile.  A cell no certificate settles is decided
-from it in exact rationals: holds with the reduction's reason, or fails
-with the counterexample the search would report, built in closed form.
-Either way no evaluation is spent.
+linear, and psi-phi, theta-pi and theta-l, which with the package's own
+handles are the linear(m) they equal) or phi(t / s) (the step functions)
+carry that profile.  Every axiom on their eval is decided from it in exact
+rationals: holds with the reduction's reason, or fails with the
+counterexample the search would report, built in closed form.  Either way
+no evaluation is spent.  Certificates remain only for theta-geraghty,
+which has no profile, and for the axioms on unary handles.
 
 Every other cell is searched.  Falsification searches walk structured
 sequence families (constants, geometric decays, harmonic approaches,
@@ -28,8 +29,10 @@ the witness replay and the classifier all read, and has one reduction in
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
+import sys
 import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -183,10 +186,11 @@ class ComparisonFn:
     ``analytic_certificates`` holds ``(kind, reason)`` pairs: each
     parameterless axiom known to hold in closed form, with why it holds; the
     limit-ratio axiom carries its own certified interval because it is
-    parameterized.  ``profile`` is the ratio profile of a gallery member whose
-    eval depends on t / s alone (up to the factor s), with the package's own
-    handles; its uncertified axioms are decided from it exactly instead of
-    searched.  Any other function has none.
+    parameterized.  Only a member without a profile (theta-geraghty) and
+    the axioms on unary handles have them.  ``profile`` is the ratio profile
+    of a gallery member whose eval depends on t / s alone (up to the factor
+    s), with the package's own handles; its axioms on eval are decided from
+    it exactly instead of searched.  Any other function has none.
     """
 
     name: str
@@ -236,6 +240,13 @@ class _Ratio(NamedTuple):
         p, q = self.above
         return p - q >= 0 and p - q * hi > 0
 
+    def nonpositive_near_one(self) -> bool:
+        """phi <= 0 at 1 and on both sides near it.  Below 1, phi(r) = p - q *
+        r tends to p - q; where that is 0, phi(r) = q * (1 - r) is <= 0 iff q
+        <= 0.  Past 1 likewise, with q >= 0."""
+        (p, q), (p2, q2) = self.below, self.above
+        return self.one <= 0 and (p < q or p == q <= 0) and (p2 < q2 or p2 == q2 >= 0)
+
 
 # --------------------------------------------------------------------------
 # Gallery
@@ -260,16 +271,6 @@ def _identity_fn(t: float) -> float:
 
 
 def _make_linear(name: str, slope: float) -> ComparisonFn:
-    certs = {AxiomKind.DOLLAR: f"closed form of {slope:.12g} * s - t"}
-    if slope < 1.0:
-        kinds = AxiomKind.UPPER_BOUND, AxiomKind.ZETA3, AxiomKind.ETA2, AxiomKind.RHO1, AxiomKind.RHO2
-        certs |= dict.fromkeys(kinds, certs[AxiomKind.DOLLAR])
-    if slope < 0.5:
-        ratio = slope / (1.0 - slope)
-        certs[AxiomKind.SIGMA1] = (
-            f"positivity along consecutive-sum pairs forces a_n < {ratio:.12g} * a_(n-1)"
-        )
-
     def evaluate(t: float, s: float, a: float = slope) -> float:
         return a * s - t
 
@@ -278,8 +279,6 @@ def _make_linear(name: str, slope: float) -> ComparisonFn:
         name=name,
         eval=evaluate,
         params=(("slope", slope),),
-        analytic_certificates=frozenset(certs.items()),
-        sigma2_certificate=Interval(0.0, 1.0 / slope),
         profile=_Ratio(True, (m, 1), m - 1, (m, 1)),
     )
 
@@ -317,16 +316,7 @@ def _build_gamma(params: dict) -> ComparisonFn:
     def evaluate(t: float, s: float) -> float:
         return 0.5 * s - 1.5 * t if t < s else 0.0
 
-    return ComparisonFn(
-        name="gamma",
-        eval=evaluate,
-        analytic_certificates=frozenset({
-            (AxiomKind.SIGMA1, "positivity along consecutive-sum pairs forces a_n < a_(n-1) / 2"),
-            (AxiomKind.DOLLAR, "positivity forces t < s / 3"),
-        }),
-        sigma2_certificate=Interval(0.0, 3.0),
-        profile=_GAMMA_PROFILE,
-    )
+    return ComparisonFn(name="gamma", eval=evaluate, profile=_GAMMA_PROFILE)
 
 
 # phi(r) = 1/2 - 3r/2 below 1 and 0 from 1 on.
@@ -343,12 +333,9 @@ def _make_step(
 ) -> ComparisonFn:
     """phi(r) = -1 below r = 1, ``at_one`` at 1 and +1 past it."""
     _reject_extras(name, params)
-    vacuous = "first axiom is vacuous: consecutive-sum pairs always evaluate to -1"
     return ComparisonFn(
         name=name,
         eval=evaluate,
-        analytic_certificates=frozenset({(AxiomKind.SIGMA1, vacuous)}),
-        sigma2_certificate=Interval(1.0, float("inf")),
         profile=_Ratio(False, (Fraction(-1), Fraction(0)), Fraction(at_one), (Fraction(1), Fraction(0))),
     )
 
@@ -383,7 +370,7 @@ def _make_dominated(
     params: dict,
     defaults: dict[str, Callable[[float], float]],
     slope: Callable[[float], float] | None,
-    own: dict[AxiomKind, str] | None = None,
+    own: frozenset = frozenset(),
     shape: Callable[..., Callable[[float, float], float]] = lambda a, h: lambda t, s: a * h(s) - t,
     closed: bool = False,
 ) -> ComparisonFn:
@@ -393,22 +380,14 @@ def _make_dominated(
     *handles)`` and m = slope(alpha); without one it takes no alpha, its
     eval is ``shape(*handles)`` and m = 1/2.
 
-    If f <= g on [0, inf)^2, f inherits each certificate of g:
-    - upper bound: f(t, s) <= g(t, s) < s - t;
-    - zeta3, eta2: the limsups of f and of (t + f) / s are at most g's;
-    - sigma1, $, rho1: positivity of f along a sequence is positivity of g,
-      which forces the limit g's certificate names;
-    - sigma2, rho2: positivity of f would be positivity of g, ruled out.
-    With the default handles each member equals or lies below linear(m):
-    pi(s) = l(s) = s / 2 make alpha * pi(s) - t and alpha * l(s) - t equal
-    (alpha / 2) * s - t; g < 1 gives alpha * g(s) * s - t <= alpha * s - t;
-    psi(s) - phi(t) is s / 2 - t.  So the member inherits linear(m)'s
-    certificates and sigma2 interval, each with the reason ``dominated by
-    linear(m)``, plus the ``own`` (axiom -> reason) ones that linear(m)
-    lacks; ``closed`` closes the interval at 1/alpha.  It also takes
-    linear(m)'s ratio profile, which only the members equal to linear(m)
-    may keep.  A custom handle's contract is unchecked: it gets no
-    certificate and no profile, so every axiom is searched.
+    With the default handles the member is linear(m) under its own name,
+    with its own params and handles and the ``own`` (axiom, reason)
+    certificates of those handles: pi(s) = l(s) = s / 2 make alpha * pi(s)
+    - t and alpha * l(s) - t equal (alpha / 2) * s - t, and psi(s) - phi(t)
+    is s / 2 - t.  So it takes linear(m)'s eval and ratio profile, and its
+    axioms are decided from the profile.  A custom handle's contract is
+    unchecked: the member gets ``shape``'s eval, no certificate and no
+    profile, so every axiom is searched.
     """
     picked = {key: params.pop(f"{key}_fn", None) for key in defaults}
     handles = tuple((key, defaults[key] if h is None else h) for key, h in picked.items())
@@ -424,40 +403,59 @@ def _make_dominated(
             raise ParamOutOfRange(f"{name} requires alpha / 2 > 0; alpha={a!r} halves to 0")
     if not all(callable(h) for _, h in handles):
         raise ParamOutOfRange(" and ".join(f"{key}_fn" for key in defaults) + " must be callable")
-    linear = _make_linear(name, m)
-    ours = all(h is defaults[key] for key, h in handles)
-    reason = f"dominated by linear({m:.12g})"
-    certs = (own or {}) | dict.fromkeys(dict(linear.analytic_certificates), reason)
-    sigma2 = Interval(0.0, 1.0 / alpha[0], hi_open=False) if closed else linear.sigma2_certificate
-    return replace(
-        linear,
-        eval=shape(*alpha, *(h for _, h in handles)),
-        params=tuple(("alpha", a) for a in alpha),
-        analytic_certificates=frozenset(certs.items() if ours else ()),
-        sigma2_certificate=sigma2 if ours else None,
-        handles=handles,
-        profile=linear.profile if ours else None,
-    )
+    named = tuple(("alpha", a) for a in alpha)
+    if any(h is not defaults[key] for key, h in handles):
+        return ComparisonFn(name, shape(*alpha, *(h for _, h in handles)), named, handles=handles)
+    return replace(_make_linear(name, m), params=named, analytic_certificates=own, handles=handles)
 
 
 def _build_theta_pi(params: dict) -> ComparisonFn:
     return _make_dominated("theta-pi", params, {"pi": _half}, _half)
 
 
+def _geraghty(a: float, g: Callable[[float], float]) -> Callable[[float, float], float]:
+    return lambda t, s: a * g(s) * s - t
+
+
 def _build_theta_geraghty(params: dict) -> ComparisonFn:
-    # g < 1 off 0 gives sigma1 even at alpha = 1/2: a limit L > 0 would need g(2L) = 1.
-    own = dict.fromkeys((AxiomKind.GERAGHTY, AxiomKind.SIGMA1), "g(t) = 1 / (1 + t), g(0) = 0")
+    """alpha * g(s) * s - t for alpha in (0, 1/2], with g(t) = 1 / (1 + t)
+    and g(0) = 0 by default.  No function of t / s, so it has no ratio
+    profile, and its axioms are certified by hand.
+
+    With the default g, 0 <= g < 1 makes f(t, s) = alpha * g(s) * s - t lie
+    below l(t, s) = alpha * s - t, which is linear(alpha), on [0, inf)^2.
+    If f <= l, f satisfies each axiom of linear(alpha) below, and
+    alpha <= 1/2 < 1 gives linear(alpha) all of them:
+    - upper bound: f(t, s) <= l(t, s) < s - t;
+    - zeta3, eta2: the limsups of f and of (t + f) / s are at most l's;
+    - $, rho1: positivity of f along a sequence is positivity of l, which
+      forces the limit l's axiom names;
+    - rho2: positivity of f would be positivity of l, ruled out.
+    sigma1 holds even at alpha = 1/2: positivity along (a_n, a_(n-1) + a_n)
+    gives a_n < g(s) (a_(n-1) + a_n) / 2 < (a_(n-1) + a_n) / 2, so a_n
+    decreases to some L, and L > 0 would need g(2L) = 1.  sigma2(c) holds
+    for c in (0, 1/alpha]: a_n -> L > 0 and b_n -> c * L make f tend to
+    L * (alpha * c * g(c * L) - 1) < 0, as g < 1.  A custom g gets no
+    certificate.
+    """
     fn = _make_dominated(
-        "theta-geraghty", params, {"g": _reciprocal_decay}, _identity_fn, own,
-        lambda a, g: lambda t, s: a * g(s) * s - t, closed=True,
+        "theta-geraghty", params, {"g": _reciprocal_decay}, _identity_fn, shape=_geraghty, closed=True
     )
-    # It lies below linear(alpha) without equalling it: alpha * g(s) * s - t
-    # is no function of t / s, so its uncertified cells are searched.
-    return replace(fn, profile=None)
+    if fn.handle("g") is not _reciprocal_decay:
+        return fn
+    alpha = fn.param("alpha")
+    kinds = (AxiomKind.DOLLAR, AxiomKind.UPPER_BOUND, AxiomKind.ZETA3, AxiomKind.ETA2,
+             AxiomKind.RHO1, AxiomKind.RHO2)
+    certs = dict.fromkeys(kinds, f"dominated by linear({alpha:.12g})")
+    certs |= dict.fromkeys((AxiomKind.GERAGHTY, AxiomKind.SIGMA1), "g(t) = 1 / (1 + t), g(0) = 0")
+    return ComparisonFn(
+        fn.name, _geraghty(alpha, _reciprocal_decay), fn.params, frozenset(certs.items()),
+        Interval(0.0, 1.0 / alpha, hi_open=False), fn.handles,
+    )
 
 
 def _build_theta_l(params: dict) -> ComparisonFn:
-    own = {AxiomKind.L_FUNCTION: "l(t) = t / 2 for t > 0, l(0) = 0"}
+    own = frozenset({(AxiomKind.L_FUNCTION, "l(t) = t / 2 for t > 0, l(0) = 0")})
     return _make_dominated("theta-l", params, {"l": _half_on_positive}, _half, own)
 
 
@@ -824,48 +822,69 @@ _AXIOMS = {
 # --------------------------------------------------------------------------
 #
 # On t, s > 0 a ratio profile's eval has the sign of phi(t / s).  Each
-# reduction below reads phi at the few ratios its schedule's candidates
-# realize, and returns either the reason the axiom holds, or the position
-# (phase, index) in the schedule of the first candidate that violates it,
-# which is the one the search would report, or None when neither follows
-# and the search decides.  The constant and family phases try each
-# canonical level x in turn, 1 first; sequences of every level realize the
-# same ratios, so if level 1 does not violate, no level does.  Random
-# candidates come after those of level 1.  Among the package's profiles
-# only gamma's rho1 and rho2 hold without a certificate, so only those two
-# reductions prove an axiom; the others refute or leave the cell to the
-# search.
+# reduction below reads phi on its two affine pieces and at 1, and returns
+# either the reason the axiom holds, or the position (phase, index) in the
+# schedule of the first candidate that violates it, which is the one the
+# search would report, or None when neither follows and the search
+# decides.  The constant and family phases try each canonical level x in
+# turn, 1 first; sequences of every level realize the same ratios, so if
+# level 1 does not violate, no level does.  Random candidates come after
+# those of level 1.  A holds branch proves the axiom for phi in exact
+# rationals, so no profiled member needs a certificate for an axiom on its
+# eval.
 
 
 def _reduce_sigma1(ax: _Axiom, f: _Ratio, c: float):
     """Along (a_n, a_(n-1) + a_n) the ratio r_n = a_n / (a_(n-1) + a_n) lies
-    in (0, 1).  Every constant sequence has r_n = 1/2.  If phi(1/2) > 0 the
-    constant sequence 1 stays positive and tends to 1, not 0.  If phi(1/2) =
-    0, every constant gives 0; with q > 0, phi(r) = q * (1/2 - r) > 0 on
-    [3/7, 1/2), where harmonic(1) has its ratios: it stays positive and
-    tends to 1.
+    in (0, 1).  If phi <= 0 on [r0, 1) for some r0 < 1/2, positivity forces
+    r_n < r0, that is a_n < r0 / (1 - r0) * a_(n-1) with r0 / (1 - r0) < 1,
+    so a_n -> 0 geometrically: sigma1 holds.  With q > 0, phi(r) = p - q * r
+    is <= 0 exactly from p / q on, so r0 = max(p / q, 0) serves when p / q <
+    1/2, with r0 / (1 - r0) = max(p / (q - p), 0).  An unscaled phi constant
+    at p <= 0 below 1 is eval's only value along the pairing, never
+    positive.
+
+    Every constant sequence has r_n = 1/2.  If phi(1/2) > 0 the constant
+    sequence 1 stays positive and tends to 1, not 0.  If phi(1/2) = 0, every
+    constant gives 0; with q > 0, phi(r) = q * (1/2 - r) > 0 on [3/7, 1/2),
+    where harmonic(1) has its ratios: it stays positive and tends to 1.
     """
+    p, q = f.below
+    if q > 0 and 2 * p < q:
+        ratio = max(p / (q - p), 0)
+        return f"positivity along consecutive-sum pairs forces a_n < {float(ratio):.12g} * a_(n-1)"
+    if q == 0 and p <= 0 and not f.scaled:
+        return f"first axiom is vacuous: consecutive-sum pairs always evaluate to {p}"
     half = f.phi(_HALF)
     if half > 0:
         return 0, 0
-    if half == 0 and f.below[1] > 0:
+    if half == 0 and q > 0:
         return 1, 0
     return None
 
 
 def _reduce_sigma2(ax: _Axiom, f: _Ratio, c: float):
     """For c >= 1, a_n -> L > 0 and b_n -> c * L make r_n = a_n / b_n tend to
-    1/c <= 1.  If phi(1/c) > 0 the constant pair (1, c) stays positive.
-    Otherwise constants do not, and the first level-1 family pair is tried:
+    1/c <= 1, so sigma2 holds when eval ends non-positive along every such
+    pair.  For c > 1, r_n ends inside the piece below 1, where phi(r) = p -
+    q * r with q >= 0 is <= p <= 0 if p <= 0, and < 0 near 1/c if p - q / c
+    < 0, that is c < q / p.  The test is c < float(q / p): a float below the
+    double nearest q / p lies below q / p.  It leaves out a c that is q / p
+    rounded down, where m * c < 1 exactly but eval's rounding can make the
+    float function positive (tau = linear(2/3) at c = 1.5).  At c = 1 the
+    ratios may end at 1 or on either side of it, so phi must also be <= 0
+    there.  c is finite, as :func:`check_axiom` requires.
+
+    If phi(1/c) > 0 the constant pair (1, c) stays positive.  Otherwise
+    constants do not, and the first level-1 family pair is tried:
     (harmonic-below(1), c) has ratios in [1/(2c), 1/c), (harmonic(1), c) at
     c = 1 has them in (1, 2].
-
-    Every sigma2 cell that holds is certified by the member's interval,
-    except for linear(m) at c >= 1/m rounded down to a float while m * c < 1
-    exactly.  There eval's rounding can make the float function positive
-    where phi is not, so the search decides those cells.  c is finite, as
-    :func:`check_axiom` requires.
     """
+    p, q = f.below
+    near_one = f.nonpositive_near_one()
+    bound = float(q / p) if p > 0 and q / p <= sys.float_info.max else float("inf")
+    if q >= 0 and c < bound and (c > 1 or near_one):
+        return f"certified for c in {Interval(0.0 if near_one else 1.0, bound).describe()}"
     r = 1 / Fraction(c)
     if f.phi(r) > 0:
         return 0, 0
@@ -877,16 +896,22 @@ def _reduce_sigma2(ax: _Axiom, f: _Ratio, c: float):
 
 
 def _reduce_dollar(ax: _Axiom, f: _Ratio, c: float):
-    """The candidates pair the constant 1 with b_n = start * ratio^(n-1),
+    """If b_n -> 0 while a_n does not tend to 0, a_n stays above some d > 0
+    along a subsequence, where the ratio a_n / b_n grows without bound.  So
+    if phi <= 0 at every large ratio, positivity with b_n -> 0 forces a_n ->
+    0: $ holds.  Past 1, phi(r) = p - q * r ends <= 0 iff q > 0, or q = 0
+    and p <= 0.
+
+    The candidates pair the constant 1 with b_n = start * ratio^(n-1),
     starts 1, 2 and 1/2, whose ratios 1 / b_n rise from 1 / start through
-    every piece above it.  On a profile constant past 1 at p > 0 (the step
-    functions; the other profiles carry a $ certificate), start 1 stays
-    positive iff phi(1) > 0, start 2 fails at once when phi(1/2) <= 0, and
-    start 1/2 stays positive, with b_n -> 0 while a_n = 1.
+    every piece above it.  On the remaining profiles constant past 1 at p >
+    0 (the step functions), start 1 stays positive iff phi(1) > 0, start 2
+    fails at once when phi(1/2) <= 0, and start 1/2 stays positive, with
+    b_n -> 0 while a_n = 1.
     """
     p, q = f.above
     if q != 0 or p <= 0:
-        return None
+        return "ratio profile: phi <= 0 at every large ratio" if q >= 0 else None
     if f.one > 0:
         return 0, 0
     if f.phi(_HALF) <= 0:
@@ -895,11 +920,23 @@ def _reduce_dollar(ax: _Axiom, f: _Ratio, c: float):
 
 
 def _reduce_grid(ax: _Axiom, f: _Ratio, c: float):
-    """Upper bound and eta2 test the grid's constant pairs first; its first
-    cells (1, 1), (1, 2) and (1, 1/2) realize the ratios 1, 1/2 and 2.  The
-    first whose exact quantity reaches the threshold is the witness: for
-    the upper bound, eval(t, s) >= s - t; for eta2, (t + eval(t, s)) / s >= 1.
+    """On a scaled profile, with r = t / s, eval(t, s) < s - t iff r + phi(r)
+    < 1, and (t + eval(t, s)) / s = r + phi(r).  That function is affine on
+    each piece: p + (1 - q) * r on [0, 1], p + (1 - q) * r on [1, inf) with
+    the coefficients past 1, and 1 + phi(1) at 1.  Below 1 its ends are p
+    and 1 + p - q; past 1 it starts at 1 + p - q and does not grow when q >=
+    1.  If each of these and 1 + phi(1) is below 1, so is its supremum over
+    r >= 0, and both axioms hold: the upper bound at every pair, eta2 at
+    every limsup.
+
+    Otherwise both test the grid's constant pairs first; its first cells
+    (1, 1), (1, 2) and (1, 1/2) realize the ratios 1, 1/2 and 2.  The first
+    whose exact quantity reaches the threshold is the witness: for the upper
+    bound, eval(t, s) >= s - t; for eta2, (t + eval(t, s)) / s >= 1.
     """
+    (p, q), (p2, q2) = f.below, f.above
+    if f.scaled and f.one < 0 and p < 1 and p < q and p2 < q2 and q2 >= 1:
+        return "ratio profile: t / s + phi(t / s) stays below 1 at every ratio"
     for index, (t, s) in enumerate(_GRID_HEAD):
         if ax.quantity(t, s, f.value(t, s)) >= ax.threshold:
             return 0, index
@@ -910,16 +947,20 @@ def _reduce_zeta3(ax: _Axiom, f: _Ratio, c: float):
     """Pairs with a common limit L > 0 have ratios tending to 1, so the
     limsup of eval is L (or 1, unscaled) times the largest of phi(1-),
     phi(1) and phi(1+) that some pair's ratios approach: a profile may jump
-    at 1, as gamma does from -1 to 0.  Constant pairs (x, x) have ratio 1,
-    so phi(1) >= 0 refutes zeta3 at (1, 1).  Otherwise a profile constant
-    past 1 at p > 1e-9 and not scaled by s gives eval = p along
-    (harmonic(1), harmonic-below(1)), whose ratios lie above 1: the tail
-    estimate is p.
+    at 1, as gamma does from -1 to 0.  If all three are < 0, so is the
+    limsup: zeta3 holds.
+
+    Constant pairs (x, x) have ratio 1, so phi(1) >= 0 refutes zeta3 at (1,
+    1).  Otherwise a profile constant past 1 at p > 1e-9 and not scaled by s
+    gives eval = p along (harmonic(1), harmonic-below(1)), whose ratios lie
+    above 1: the tail estimate is p.
     """
+    (p, q), (p2, q2) = f.below, f.above
+    if max(f.one, p - q, p2 - q2) < 0:
+        return "ratio profile: phi < 0 at and near ratio 1, where pairs with a common limit end"
     if f.one >= 0:
         return 0, 0
-    p, q = f.above
-    if not f.scaled and q == 0 and p > 1e-9:
+    if not f.scaled and q2 == 0 and p2 > 1e-9:
         return 1, 0
     return None
 
@@ -955,17 +996,13 @@ def _reduce_rho2(ax: _Axiom, f: _Ratio, c: float):
 
     Sequences with a common limit L > 0 have ratios tending to 1.  If phi
     <= 0 at 1 and on both sides near it, eval ends non-positive along every
-    such pair: rho2 holds.  Near 1 from below phi <= 0 iff phi(1-) < 0, or
-    phi(1-) = 0 and q <= 0.  From above, once (1, 2] fails, iff phi(1+) <= 0
-    (phi(1+) = 0 then forces phi(2) = -q <= 0).
+    such pair: rho2 holds.
     """
     if f.positive_above(_TWO):
         return 0, 0
     if f.one > 0:
         return 0, 1
-    p, q = f.below
-    left = p - q
-    if (left < 0 or left == 0 and q <= 0) and f.above[0] - f.above[1] <= 0:
+    if f.nonpositive_near_one():
         return "ratio profile: phi <= 0 near ratio 1, where pairs with a common limit end"
     return None
 
@@ -985,6 +1022,13 @@ _REDUCTIONS = {
 }
 
 
+@functools.lru_cache(maxsize=4096)
+def _reduce(kind: AxiomKind, f: _Ratio, c: float):
+    """``kind``'s reduction of profile f at c.  It is pure, and a profile is
+    immutable exact rationals, so repeated cells cost one lookup."""
+    return _REDUCTIONS[kind](_AXIOMS[kind], f, c)
+
+
 def _decide(fn: ComparisonFn, kind: AxiomKind, c: float) -> AxiomVerdict | None:
     """The verdict of ``kind``'s reduction on fn's profile, at 0 evaluations,
     or None when the search must decide.
@@ -995,7 +1039,7 @@ def _decide(fn: ComparisonFn, kind: AxiomKind, c: float) -> AxiomVerdict | None:
     violating there, the search decides instead.
     """
     ax = _AXIOMS[kind]
-    found = _REDUCTIONS[kind](ax, fn.profile, c)
+    found = _reduce(kind, fn.profile, c)
     if found is None:
         return None
     if isinstance(found, str):

@@ -313,7 +313,7 @@ def _coincidence_or_designated_fixed(run: _Run, observed: dict) -> bool:
     similar = s_fixes = t_fixes = False
     if target is not None:
         if run.solved is not None and len(run.solved.trace.points) >= 2:
-            diag = diagnose(run.solved.trace, sc.space, sc.t_map, sc.s_map, tol=sc.tol)
+            diag = diagnose(run.solved.trace, sc.space, sc.t_map, sc.s_map)
             similar = diag.s_asymptotically_similar
         s_fixes = sc.s_map(target) == target
         t_fixes = sc.t_map(target) == target
@@ -433,9 +433,7 @@ class _Run:
         x0 = sc.x0 if sc.x0 is not None else self.clr_base
         if x0 is None:
             return None
-        return solve(
-            sc.space, sc.t_map, self.chain_s, x0, policy=sc.policy, max_iter=sc.max_iter, tol=sc.tol
-        )
+        return solve(sc.space, sc.t_map, self.chain_s, x0, policy=sc.policy, max_iter=sc.max_iter)
 
     @cached_property
     def limits(self) -> tuple[str, ...]:
@@ -681,8 +679,8 @@ def _compute_ex_3_34() -> dict:
     classical = check_condition(space, t_map, None, classical_kannan(0.49))
 
     ident = identity_map(space)
-    trace = run_picard_pair(space, t_map, ident, "1/4", max_iter=sc.max_iter, tol=sc.tol)
-    diag = diagnose(trace, space, t_map, ident, tol=sc.tol)
+    trace = run_picard_pair(space, t_map, ident, "1/4", max_iter=sc.max_iter)
+    diag = diagnose(trace, space, t_map, ident)
     theorem, run = _run_theorem(sc)
     coincidence_at = (
         space.labels[trace.points[trace.coincidence_index]]

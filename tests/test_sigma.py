@@ -269,23 +269,40 @@ def test_theta_pi_default_handle_halves_the_second_argument():
 
 
 def test_theta_members_inherit_the_certificates_of_linear_alpha():
-    # alpha * pi(s) - t and alpha * l(s) - t equal (alpha / 2) * s - t, and
-    # alpha * g(s) * s - t lies below alpha * s - t; the closed-form
-    # certificates of those linear members carry over.
-    for name, slope in (("theta-pi", 0.2), ("theta-geraghty", 0.4), ("theta-l", 0.2)):
+    # alpha * pi(s) - t and alpha * l(s) - t are (alpha / 2) * s - t: with
+    # the default handles those members are linear(alpha / 2), decided from
+    # its ratio profile without an evaluation.  alpha * g(s) * s - t only
+    # lies below alpha * s - t, so theta-geraghty keeps the certificates of
+    # linear(alpha).
+    for name in ("theta-pi", "theta-l"):
         fn = gallery(name, alpha=0.4)
         for kind in (
+            AxiomKind.SIGMA1,
+            AxiomKind.DOLLAR,
             AxiomKind.UPPER_BOUND,
             AxiomKind.ZETA3,
             AxiomKind.ETA2,
             AxiomKind.RHO1,
             AxiomKind.RHO2,
         ):
-            verdict = check_axiom(fn, kind)
+            verdict = check_axiom(fn, kind, budget=0)
             assert verdict.outcome is Outcome.CERTIFIED_HOLDS, (name, kind)
             assert verdict.budget_used == 0
-            assert verdict.detail == f"dominated by linear({slope})"
-    # linear(1/2) certifies no sigma1; the Geraghty variant keeps its own.
+        assert check_axiom(fn, AxiomKind.SIGMA2, c=4.0, budget=0).outcome is Outcome.CERTIFIED_HOLDS
+        assert check_axiom(fn, AxiomKind.SIGMA2, c=6.0, budget=0).outcome is Outcome.FALSIFIED
+    geraghty = gallery("theta-geraghty", alpha=0.4)
+    for kind in (
+        AxiomKind.DOLLAR,
+        AxiomKind.UPPER_BOUND,
+        AxiomKind.ZETA3,
+        AxiomKind.ETA2,
+        AxiomKind.RHO1,
+        AxiomKind.RHO2,
+    ):
+        verdict = check_axiom(geraghty, kind)
+        assert verdict.outcome is Outcome.CERTIFIED_HOLDS, kind
+        assert verdict.detail == "dominated by linear(0.4)"
+    # linear(1/2) has no sigma1; the Geraghty variant keeps its own.
     half = gallery("theta-geraghty", alpha=0.5)
     sigma1 = check_axiom(half, AxiomKind.SIGMA1)
     assert sigma1.outcome is Outcome.CERTIFIED_HOLDS

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -291,6 +292,24 @@ def test_t333_refuses_a_two_cycle_through_sigma1(sigma):
     assert set(status.values()) == {HypothesisStatus.HOLDS}
     assert not report.conclusion.match
     assert not report.conclusion.contradicted
+
+
+def test_census_slice_finds_no_contradiction():
+    # Every statement on every (T, S) of two ordinary 3-point spaces: when
+    # all hypotheses hold the conclusion must too, and no hypothesis is left
+    # undetermined.  alpha comes from the member, T3.29 runs at w = 1.
+    for values, sigma in (
+        ((0.0, 1.0, 2.0), gallery("chi", alpha=0.4)),
+        ((0.0, 1.0, 3.0), gallery("linear", slope=0.3)),
+    ):
+        space = space_from_values(values)
+        maps = [SelfMap(space, a) for a in itertools.product(range(3), repeat=3)]
+        for t_map, s_map in itertools.product(maps, maps):
+            for theorem in theorems.THEOREM_IDS:
+                report = run_theorem(Scenario(space, t_map, s_map, sigma=sigma, theorem=theorem, w=1))
+                key = (values, sigma.name, t_map.assignment, s_map.assignment, theorem)
+                assert not report.conclusion.contradicted, key
+                assert not report.any_undetermined, key
 
 
 def test_random_condition_pair_generator_properties():
