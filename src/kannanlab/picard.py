@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from typing import Callable, Sequence
 
 from .metric import DEFAULT_TOL, FiniteMetricSpace, SelfMap, require_same_space
@@ -66,28 +67,33 @@ def _s_preimages(s_map: SelfMap) -> dict[int, tuple[int, ...]]:
     return {sy: tuple(ys) for sy, ys in preimages.items()}
 
 
-def find_clr_base(
-    space: FiniteMetricSpace, t_map: SelfMap, s_map: SelfMap
-) -> str | None:
-    """First point from which an unbroken chain of the pair exists.
+def _live(preimages: dict[int, tuple[int, ...]], t_of: Sequence[int]) -> list[bool]:
+    """Whether each point starts an unbroken chain of the pair.
 
-    A point survives when it can reach a cycle of the successor relation
+    A point is live when it can reach a cycle of the successor relation
     x -> {y : S(y) = T(x)}; dead ends are peeled off until the live set is
-    stable.  Returns the lowest surviving label, or None.
+    stable.  So every live point has a live successor.
     """
-    require_same_space(space, t_map, s_map)
-    n = space.n
-    preimages = _s_preimages(s_map)
-    successors = [preimages.get(t_map.assignment[x], ()) for x in range(n)]
-    alive = [bool(successors[x]) for x in range(n)]
+    successors = [preimages.get(tx, ()) for tx in t_of]
+    alive = [bool(ys) for ys in successors]
     changed = True
     while changed:
         changed = False
-        for x in range(n):
-            if alive[x] and not any(alive[y] for y in successors[x]):
+        for x, ys in enumerate(successors):
+            if alive[x] and not any(alive[y] for y in ys):
                 alive[x] = False
                 changed = True
-    for x in range(n):
+    return alive
+
+
+def find_clr_base(
+    space: FiniteMetricSpace, t_map: SelfMap, s_map: SelfMap
+) -> str | None:
+    """First point from which an unbroken chain of the pair exists: the
+    lowest live label, or None."""
+    require_same_space(space, t_map, s_map)
+    alive = _live(_s_preimages(s_map), t_map.assignment)
+    for x in range(space.n):
         if alive[x]:
             return space.labels[x]
     return None
@@ -110,9 +116,11 @@ def run_picard_pair(
     shortly after the first revisit; in the last case it is unrolled far
     enough past the detection for tail-window diagnostics to see the settled
     behaviour.  ``policy`` selects among several S-preimages: the default
-    takes the first in label order, or a callable receives the candidate
-    tuple and returns one of its members.  ``tol`` is inert: no point
-    identity is decided with a tolerance.
+    takes the first in label order from which some chain never breaks, or
+    the first when there is none, or a callable receives the candidate
+    tuple and returns one of its members.  From a point that
+    :func:`find_clr_base` can return, the default chain never breaks.
+    ``tol`` is inert: no point identity is decided with a tolerance.
     """
     require_same_space(space, t_map, s_map)
     if max_iter < 1:
@@ -125,12 +133,15 @@ def run_picard_pair(
         start = space.index_of(x0)
 
     preimages = _s_preimages(s_map)
+    live = cache(lambda: _live(preimages, t_map.assignment))
 
     def choose(target: int) -> int | None:
         candidates = preimages.get(target)
         if not candidates:
             return None
         if policy == LOWEST_INDEX:
+            if len(candidates) > 1:
+                return next((y for y in candidates if live()[y]), candidates[0])
             return candidates[0]
         picked = policy(candidates)
         if picked not in candidates:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 from . import builtins as catalog
@@ -131,35 +132,55 @@ def parse_scenario_dict(raw: dict, overrides: dict | None = None) -> ScenarioDoc
         fields["sigma"], fields["c"] = _parse_sigma(raw["sigma"])
     fields.update(_read_settings(raw))
     if "theorem" in raw:
-        fields.update(_parse_theorem(raw["theorem"], space, fields.get("theorem")))
+        point = partial(_point, space)
+        readers = {
+            "id": _theorem_id, "w": _positive_integer, "alpha": _finite, "c": _c, "x0": point, "q": point
+        }
+        section = _section(raw, "theorem", readers, {"id": fields.get("theorem")})
+        fields["theorem"] = section.pop("id")
+        fields.update(section)
 
     condition = None
     if "check" in raw:
         condition = _parse_condition(raw["check"], fields.get("sigma"))
 
-    solve_x0 = None
+    solve, classify = {}, {}
     if "solve" in raw:
-        section = raw["solve"]
-        _require_mapping("solve", section)
-        _reject_unknown("solve", section, {"x0"})
-        if "x0" in section:
-            solve_x0 = _point(space, section["x0"], "solve.x0")
-
-    c_values: tuple[float, ...] = (1.0,)
+        solve = _section(raw, "solve", {"x0": partial(_point, space)})
     if "classify" in raw:
-        section = raw["classify"]
-        _require_mapping("classify", section)
-        _reject_unknown("classify", section, {"c_values"})
-        values = section.get("c_values", [1.0])
-        if not isinstance(values, list) or not values:
-            raise ValidationError("classify.c_values", "must be a non-empty list")
-        c_values = tuple(_finite(v, "classify.c_values") for v in values)
-        for v in c_values:
-            if v <= 0:
-                raise ValidationError("classify.c_values", "entries must be > 0")
-
+        classify = _section(raw, "classify", {"c_values": _c_values})
     fields.update(_read_settings(overrides or {}))
-    return ScenarioDoc(Scenario(**fields), condition, solve_x0, c_values)
+    return ScenarioDoc(
+        Scenario(**fields), condition, solve.get("x0"), classify.get("c_values", (1.0,))
+    )
+
+
+def _section(raw: dict, field: str, readers: dict, defaults: dict | None = None) -> dict:
+    """Section ``field`` of ``raw``, read key by key in the order of ``readers``.
+
+    The section must be a JSON object whose keys all have a reader, which
+    takes the key's value and its field name ``<field>.<key>``.  A key the
+    section lacks takes its entry of ``defaults`` if it has one, and is
+    left out of the result otherwise.
+    """
+    section = raw[field]
+    _require_mapping(field, section)
+    _reject_unknown(field, section, set(readers))
+    if defaults:
+        section = {**defaults, **section}
+    return {
+        key: read(section[key], f"{field}.{key}") for key, read in readers.items() if key in section
+    }
+
+
+def _c_values(values, field: str) -> tuple[float, ...]:
+    if not isinstance(values, list) or not values:
+        raise ValidationError(field, "must be a non-empty list")
+    c_values = tuple(_finite(v, field) for v in values)
+    for v in c_values:
+        if v <= 0:
+            raise ValidationError(field, "entries must be > 0")
+    return c_values
 
 
 def _tol(value) -> float:
@@ -180,29 +201,6 @@ _SETTINGS = {
 
 def _read_settings(source: dict) -> dict:
     return {key: read(source[key]) for key, read in _SETTINGS.items() if key in source}
-
-
-def _parse_theorem(section, space: FiniteMetricSpace, default_id: str | None) -> dict:
-    _require_mapping("theorem", section)
-    _reject_unknown("theorem", section, {"id", "w", "alpha", "x0", "q", "c"})
-    fields = {
-        "theorem": _choice(
-            section.get("id", default_id),
-            "theorem.id",
-            THEOREM_IDS,
-            f"must be one of {list(THEOREM_IDS)}",
-        )
-    }
-    if "w" in section:
-        fields["w"] = _integer(section["w"], "theorem.w", positive=True)
-    if "alpha" in section:
-        fields["alpha"] = _finite(section["alpha"], "theorem.alpha")
-    if "c" in section:
-        fields["c"] = _c(section["c"], "theorem.c")
-    for key in ("x0", "q"):
-        if key in section:
-            fields[key] = _point(space, section[key], f"theorem.{key}")
-    return fields
 
 
 def _parse_space_and_maps(raw: dict) -> dict:
@@ -241,13 +239,9 @@ def _parse_space_and_maps(raw: dict) -> dict:
         )
 
     if "maps" in raw:
-        maps = raw["maps"]
-        _require_mapping("maps", maps)
-        _reject_unknown("maps", maps, {"T", "S"})
-        if "T" in maps:
-            t_map = _parse_map(space, maps["T"], "maps.T")
-        if "S" in maps:
-            s_map = _parse_map(space, maps["S"], "maps.S")
+        parse = partial(_parse_map, space)
+        maps = _section(raw, "maps", {"T": parse, "S": parse})
+        t_map, s_map = maps.get("T", t_map), maps.get("S", s_map)
     if t_map is None:
         raise ValidationError("maps.T", "required for non-builtin spaces")
     if s_map is None:
@@ -441,3 +435,7 @@ def _choice(value, field: str, choices, reason: str) -> str:
     if not isinstance(value, str) or value not in choices:
         raise ValidationError(field, reason)
     return value
+
+
+_theorem_id = partial(_choice, choices=THEOREM_IDS, reason=f"must be one of {list(THEOREM_IDS)}")
+_positive_integer = partial(_integer, positive=True)

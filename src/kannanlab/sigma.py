@@ -128,40 +128,49 @@ class WitnessSequence:
         return dict(self.params)[key]
 
     def term(self, n: int) -> float:
-        return _family_term(self.family, dict(self.params), n)
+        return _family(self.family).term(dict(self.params), n)
 
     def limit(self) -> float:
         """Closed-form limit; ``inf`` for linear growth."""
-        p = dict(self.params)
-        if self.family == "constant":
-            return p["value"]
-        if self.family == "geometric":
-            return 0.0 if p["ratio"] < 1.0 else float("inf")
-        if self.family in ("harmonic", "harmonic-below"):
-            return p["limit"]
-        if self.family == "linear":
-            return float("inf")
-        raise ValueError(f"no scalar limit for family {self.family!r}")
+        if self.family not in _FAMILIES:
+            raise ValueError(f"no scalar limit for family {self.family!r}")
+        return _FAMILIES[self.family].limit(dict(self.params))
 
 
-def _family_term(family: str, p: dict[str, float], n: int) -> float:
-    if family == "constant":
-        return p["value"]
-    if family == "geometric":
-        return p["start"] * p["ratio"] ** (n - 1)
-    if family == "harmonic":
-        return p["limit"] * (1.0 + 1.0 / n)
-    if family == "harmonic-below":
-        return p["limit"] * (1.0 - 1.0 / (n + 1))
-    if family == "linear":
-        return p["scale"] * n
-    raise ValueError(f"unknown family {family!r}")
+class _Family(NamedTuple):
+    """A sequence family: the parameter a one-parameter witness of it sets,
+    its n-th term (n >= 1) and its limit, each read from its parameters."""
+
+    level: str
+    term: Callable[[dict[str, float], int], float]
+    limit: Callable[[dict[str, float]], float]
+
+
+_FAMILIES = {
+    "constant": _Family("value", lambda p, n: p["value"], lambda p: p["value"]),
+    "geometric": _Family(
+        "start",
+        lambda p, n: p["start"] * p["ratio"] ** (n - 1),
+        lambda p: 0.0 if p["ratio"] < 1.0 else float("inf"),
+    ),
+    "harmonic": _Family("limit", lambda p, n: p["limit"] * (1.0 + 1.0 / n), lambda p: p["limit"]),
+    "harmonic-below": _Family(
+        "limit", lambda p, n: p["limit"] * (1.0 - 1.0 / (n + 1)), lambda p: p["limit"]
+    ),
+    "linear": _Family("scale", lambda p, n: p["scale"] * n, lambda p: float("inf")),
+}
+
+
+def _family(name: str) -> _Family:
+    if name not in _FAMILIES:
+        raise ValueError(f"unknown family {name!r}")
+    return _FAMILIES[name]
 
 
 def make_witness(family: str, n_terms: int = WITNESS_TERMS, **params: float) -> WitnessSequence:
     items = tuple(sorted(params.items()))
-    p = dict(items)
-    terms = [_family_term(family, p, n) for n in range(1, n_terms + 1)]
+    term, p = _family(family).term, dict(items)
+    terms = [term(p, n) for n in range(1, n_terms + 1)]
     return WitnessSequence(family, items, tuple(terms))
 
 
@@ -323,13 +332,14 @@ def _build_gamma(params: dict) -> ComparisonFn:
 _GAMMA_PROFILE = _Ratio(True, (Fraction(1, 2), Fraction(3, 2)), Fraction(0), (Fraction(0), Fraction(0)))
 
 
-def _build_beta(params: dict) -> ComparisonFn:
-    _reject_extras("beta", params)
-    return _make_linear("beta", 0.5)
+def _fixed_slope(name: str, slope: float, params: dict) -> ComparisonFn:
+    """linear(slope) under the member's own name; it takes no parameter."""
+    _reject_extras(name, params)
+    return _make_linear(name, slope)
 
 
 def _make_step(
-    name: str, params: dict, evaluate: Callable[[float, float], float], at_one: int
+    name: str, evaluate: Callable[[float, float], float], at_one: int, params: dict
 ) -> ComparisonFn:
     """phi(r) = -1 below r = 1, ``at_one`` at 1 and +1 past it."""
     _reject_extras(name, params)
@@ -340,14 +350,6 @@ def _make_step(
     )
 
 
-def _build_step_g(params: dict) -> ComparisonFn:
-    return _make_step("step-g", params, lambda t, s: -1.0 if t <= s else 1.0, -1)
-
-
-def _build_step_omega(params: dict) -> ComparisonFn:
-    return _make_step("step-omega", params, lambda t, s: -1.0 if t < s else 1.0, 1)
-
-
 def _build_chi(params: dict) -> ComparisonFn:
     alpha = _param(params, "chi", "alpha", lambda a: 0.0 < a < 0.5, "0 < alpha < 1/2")
     return replace(_make_linear("chi", alpha), params=(("alpha", alpha),))
@@ -356,13 +358,6 @@ def _build_chi(params: dict) -> ComparisonFn:
 def _build_linear(params: dict) -> ComparisonFn:
     slope = _param(params, "linear", "slope", lambda s: 0.0 < s < float("inf"), "finite slope > 0")
     return _make_linear("linear", slope)
-
-
-def _build_tau(params: dict) -> ComparisonFn:
-    _reject_extras("tau", params)
-    # Membership fails on the first axiom, but the limit-ratio axiom holds
-    # up to c = 3/2 in closed form.
-    return _make_linear("tau", 2.0 / 3.0)
 
 
 def _make_dominated(
@@ -473,14 +468,16 @@ def _reject_extras(member: str, params: dict) -> None:
 
 _GALLERY_BUILDERS = {
     "gamma": _build_gamma,
-    "beta": _build_beta,
-    "step-g": _build_step_g,
-    "step-omega": _build_step_omega,
+    "beta": partial(_fixed_slope, "beta", 0.5),
+    "step-g": partial(_make_step, "step-g", lambda t, s: -1.0 if t <= s else 1.0, -1),
+    "step-omega": partial(_make_step, "step-omega", lambda t, s: -1.0 if t < s else 1.0, 1),
     "chi": _build_chi,
     "theta-pi": _build_theta_pi,
     "theta-geraghty": _build_theta_geraghty,
     "theta-l": _build_theta_l,
-    "tau": _build_tau,
+    # Membership fails on the first axiom, but the limit-ratio axiom holds
+    # up to c = 3/2 in closed form.
+    "tau": partial(_fixed_slope, "tau", 2.0 / 3.0),
     "psi-phi": _build_psi_phi,
     "linear": _build_linear,
 }
@@ -537,9 +534,13 @@ class _Axiom(NamedTuple):
     With ``threshold`` None a witness violates the axiom when t, s and
     eval(t, s) stay positive at every probed index; otherwise when the
     limsup of ``quantity(t, s, eval(t, s))`` (eval itself when None) reaches
-    the threshold: exactly for constant sequences, by a tail estimate above
-    ``threshold + 1e-9`` for families.  Families are probed at the first
-    ``prefix_len`` indices and at the far ``tail``.  ``claim(a, b, c)`` is
+    the threshold: exactly for constant sequences, and for families when its
+    value at the farthest ``tail`` index exceeds ``threshold + 1e-9``.
+    Families are probed at the first ``prefix_len`` indices and at the far
+    ``tail``.  A finite probe cannot resolve a limsup just below the
+    threshold: at n = 10**6 a harmonic pair is still about 2e-6 from its
+    limit, so zeta3 of m * s - t is refuted for m within about 2e-6 of 1,
+    although it holds for every m < 1.  ``claim(a, b, c)`` is
     the limit statement that makes a violating witness a counterexample.
     """
 
@@ -586,42 +587,33 @@ class _Axiom(NamedTuple):
         :class:`_Exhausted`.
         """
         quantity, threshold = self.quantity, self.threshold
-        used, limit = b.used, b.limit
-        try:
-            if exact:
-                at = self.pairing.at_constant
-                for cand in candidates:
-                    used += 1
-                    if used > limit:
-                        raise _Exhausted
-                    t, s = cand if at is None else at(*cand)
+        if exact:
+            at = self.pairing.at_constant
+            for cand in candidates:
+                b.spend()
+                t, s = cand if at is None else at(*cand)
+                value = ev(t, s)
+                q = value if quantity is None else quantity(t, s, value)
+                if (t > 0 and s > 0 and q > 0.0) if threshold is None else q >= threshold:
+                    return cand, {"t": t, "s": s, "value": value, "q": q, "gap": s - t}
+            return None
+        at, start = self.pairing.at, self.pairing.start
+        for cand in candidates:
+            terms = [partial(_family(family).term, params) for family, params in cand]
+            for n in itertools.chain(range(start, start + prefix_len), self.tail):
+                b.spend()
+                t, s = at(terms[0], terms[-1], n)
+                if threshold is None:
+                    if t <= 0 or s <= 0 or not ev(t, s) > 0.0:
+                        break
+                else:
                     value = ev(t, s)
                     q = value if quantity is None else quantity(t, s, value)
-                    if (t > 0 and s > 0 and q > 0.0) if threshold is None else q >= threshold:
-                        return cand, {"t": t, "s": s, "value": value, "q": q, "gap": s - t}
-                return None
-            at, start = self.pairing.at, self.pairing.start
-            for cand in candidates:
-                terms = [partial(_family_term, family, params) for family, params in cand]
-                qs = []
-                for n in itertools.chain(range(start, start + prefix_len), self.tail):
-                    used += 1
-                    if used > limit:
-                        raise _Exhausted
-                    t, s = at(terms[0], terms[-1], n)
-                    if threshold is None:
-                        if t <= 0 or s <= 0 or not ev(t, s) > 0.0:
-                            break
-                    else:
-                        value = ev(t, s)
-                        qs.append(value if quantity is None else quantity(t, s, value))
-                else:
-                    # The limsup estimate is the largest value of the last quarter.
-                    if threshold is None or max(qs[-max(1, len(qs) // 4):]) > threshold + 1e-9:
-                        return cand, {}
-            return None
-        finally:
-            b.used = used
+            else:
+                # The limsup estimate is the value at the farthest probe.
+                if threshold is None or q > threshold + 1e-9:
+                    return cand, {}
+        return None
 
 
 class _HandleAxiom(NamedTuple):
@@ -643,14 +635,14 @@ class _HandleAxiom(NamedTuple):
         for family, x in self.probes(rng):
             detail = self.violation(h, family, x, b)
             if detail is not None:
-                return make_witness(family, **{_PARAM[family]: x}), detail
+                return make_witness(family, **{_FAMILIES[family].level: x}), detail
         return None, _NOT_FOUND
 
     def replay(self, fn, witness, c):
         h = fn.handle(self.name)
         if h is None or witness.family not in ("constant", "linear"):
             return False
-        x = witness.param(_PARAM[witness.family])
+        x = witness.param(_FAMILIES[witness.family].level)
         return self.violation(h, witness.family, x, _Budget(float("inf"))) is not None
 
 
@@ -683,11 +675,8 @@ def _l_function_violation(l, family: str, x: float, b: _Budget) -> str | None:
     return f"l({x:g}) = {v:g} > {x:g}" if v > x + 1e-12 else None
 
 
-_PARAM = {"constant": "value", "harmonic": "limit", "harmonic-below": "limit", "linear": "scale"}
-
-
 def _seq(family: str, x: float) -> tuple[str, dict[str, float]]:
-    return family, {_PARAM[family]: x}
+    return family, {_FAMILIES[family].level: x}
 
 
 def _scan(rng: random.Random) -> Iterator[float]:
@@ -786,13 +775,13 @@ _AXIOMS = {
          "constant pair at {a:g} gives limsup {q:g} >= 0", True),
         (_combos((_H, _HB), (_HB, _H), (_H, _H)),
          "equal-limit family at {a:g} has tail estimate > 0", False),
-    ), threshold=0.0),
+    ), TAIL_PROBES, threshold=0.0),
     # limsup (t_n + eval(t_n, s_n)) / s_n < 1 for bounded t_n, non-increasing s_n.
     AxiomKind.ETA2: _Axiom(_POINTWISE, _bounded_and_non_increasing, (
         (_grid, "constant pair ({t:g}, {s:g}) gives ratio {q:g} >= 1", True),
         (_geometric_partners([_seq(_K, x) for x in _CP[:6]], (0.9,)),
          "ratio tail estimate exceeds 1", False),
-    ), threshold=1.0, quantity=lambda t, s, value: (t + value) / s),
+    ), GEOMETRIC_TAIL_PROBES, threshold=1.0, quantity=lambda t, s, value: (t + value) / s),
     # Positivity along (a_(n+1), a_n) forces a_n -> 0.
     AxiomKind.RHO1: _Axiom(_CONSECUTIVE, lambda a, b, c: a.limit() != 0.0, (
         (_singles, "constant sequence at {a:g} stays positive under consecutive pairing", True),

@@ -548,6 +548,9 @@ class ReproduceReport:
 def reproduce(example_id: str) -> ReproduceReport:
     """Run a builtin entry and compare it with its stored expected values.
 
+    A catalog entry's scenario is built and its theorem run once, and its
+    computer reads them; ``classify-gallery`` has no scenario.
+
     The two match exactly when their JSON reports are the same text.  Each
     ``path: value`` line of the text report that only one side prints is a
     mismatch; when the sides differ only in JSON types, each line of
@@ -557,7 +560,11 @@ def reproduce(example_id: str) -> ReproduceReport:
     """
     if example_id not in _COMPUTERS:
         raise UnknownExample(f"unknown example id {example_id!r}")
-    computed = _COMPUTERS[example_id]()
+    args = ()
+    if example_id in catalog.EXAMPLES:
+        sc = builtin_scenario(example_id)
+        args = (sc, *_run_theorem(sc))
+    computed = _COMPUTERS[example_id](*args)
     golden = _load_golden(example_id)
     mismatches: list[str] = []
     if render_json(golden) != render_json(computed):
@@ -582,8 +589,19 @@ def _load_golden(example_id: str) -> dict:
     return json.loads(path.read_text())
 
 
-def _compute_ex_3_24() -> dict:
-    sc = builtin_scenario("ex-3.24")
+def _verdict(theorem: HypothesisReport, *fields: str, **extra) -> dict:
+    """A reproduction's ``theorem`` entry: the named ``fields`` among
+    ``all_hold``, ``match`` and ``contradicted``, then ``extra``."""
+    conclusion = theorem.conclusion
+    known = {
+        "all_hold": theorem.all_hold,
+        "match": conclusion.match,
+        "contradicted": conclusion.contradicted,
+    }
+    return {**{key: known[key] for key in fields}, **extra}
+
+
+def _compute_ex_3_24(sc: Scenario, theorem: HypothesisReport, run: _Run) -> dict:
     space, t_map, s_map = sc.space, sc.t_map, sc.s_map
 
     sup = kannan_supremum(space, t_map)
@@ -596,7 +614,6 @@ def _compute_ex_3_24() -> dict:
     spot_t, spot_s = pairing(space, t_map, s_map, sigma_s_kannan(sc.sigma)).pair(
         space.index_of("4"), space.index_of("1")
     )
-    theorem, run = _run_theorem(sc)
     observed = theorem.conclusion.observed
     return {
         "kannan_supremum": {
@@ -617,16 +634,11 @@ def _compute_ex_3_24() -> dict:
         "coincidence_points": observed["coincidence_points"],
         "solve": observed["solve"],
         "solve_in_oracle": observed["solve"]["point"] in observed["coincidence_points"],
-        "theorem": {
-            "all_hold": theorem.all_hold,
-            "match": theorem.conclusion.match,
-            "contradicted": theorem.conclusion.contradicted,
-        },
+        "theorem": _verdict(theorem, "all_hold", "match", "contradicted"),
     }
 
 
-def _compute_ex_3_26() -> dict:
-    sc = builtin_scenario("ex-3.26")
+def _compute_ex_3_26(sc: Scenario, theorem: HypothesisReport, run: _Run) -> dict:
     space, t_map = sc.space, sc.t_map
     spec = sigma_kannan(sc.sigma)
     pairs = pairing(space, t_map, None, spec)
@@ -638,7 +650,6 @@ def _compute_ex_3_26() -> dict:
     ]
     sweep = check_condition(space, t_map, None, spec, sc.mode)
     sigma1 = check_axiom(sc.sigma, AxiomKind.SIGMA1, seed=sc.seed)
-    theorem, run = _run_theorem(sc)
     trace = run.solved.trace
     statuses = {h.name: h.status.value for h in theorem.hypotheses}
     return {
@@ -656,21 +667,19 @@ def _compute_ex_3_26() -> dict:
             "witness": witness_summary(sigma1.witness),
             "eval_at_witness": sc.sigma.eval(1.0, 2.0),
         },
-        "theorem": {
-            "hypotheses": statuses,
-            "sigma1_fails": statuses["sigma1"] == "fails",
-            "others_hold": all(
-                v == "holds" for k, v in statuses.items() if k != "sigma1"
-            ),
-            "observed_fixed": theorem.conclusion.observed["fixed_points"],
-            "match": theorem.conclusion.match,
-            "contradicted": theorem.conclusion.contradicted,
-        },
+        "theorem": _verdict(
+            theorem,
+            "match",
+            "contradicted",
+            hypotheses=statuses,
+            sigma1_fails=statuses["sigma1"] == "fails",
+            others_hold=all(v == "holds" for k, v in statuses.items() if k != "sigma1"),
+            observed_fixed=theorem.conclusion.observed["fixed_points"],
+        ),
     }
 
 
-def _compute_ex_3_34() -> dict:
-    sc = builtin_scenario("ex-3.34")
+def _compute_ex_3_34(sc: Scenario, theorem: HypothesisReport, run: _Run) -> dict:
     space, t_map, s_map = sc.space, sc.t_map, sc.s_map
 
     spot_t, spot_s = pairing(space, t_map, s_map, s_dominated(sc.sigma, 1)).pair(
@@ -681,7 +690,6 @@ def _compute_ex_3_34() -> dict:
     ident = identity_map(space)
     trace = run_picard_pair(space, t_map, ident, "1/4", max_iter=sc.max_iter)
     diag = diagnose(trace, space, t_map, ident)
-    theorem, run = _run_theorem(sc)
     coincidence_at = (
         space.labels[trace.points[trace.coincidence_index]]
         if trace.coincidence_index is not None
@@ -698,34 +706,24 @@ def _compute_ex_3_34() -> dict:
             "first_steps": list(trace.step_distances[:5]),
         },
         "fixed_points": theorem.conclusion.observed["fixed_points"],
-        "theorem": {
-            "all_hold": theorem.all_hold,
-            "s_injective": theorem.status_of("s-injective").value,
-            "match": theorem.conclusion.match,
-        },
+        "theorem": _verdict(
+            theorem, "all_hold", "match", s_injective=theorem.status_of("s-injective").value
+        ),
     }
 
 
-def _compute_ex_3_35() -> dict:
-    sc = builtin_scenario("ex-3.35")
-    theorem, run = _run_theorem(sc)
+def _compute_ex_3_35(sc: Scenario, theorem: HypothesisReport, run: _Run) -> dict:
     observed = theorem.conclusion.observed
     return {
         "s_dominated": condition_summary(run.sweeps["s-dominated-condition(w=1)"]),
         "s_injective": sc.s_map.is_injective,
         "fixed_points": observed["fixed_points"],
         "coincidence_points": observed["coincidence_points"],
-        "theorem": {
-            "all_hold": theorem.all_hold,
-            "match": theorem.conclusion.match,
-            "contradicted": theorem.conclusion.contradicted,
-        },
+        "theorem": _verdict(theorem, "all_hold", "match", "contradicted"),
     }
 
 
-def _compute_koparde() -> dict:
-    sc = builtin_scenario("koparde-demo")
-    theorem, run = _run_theorem(sc)
+def _compute_koparde(sc: Scenario, theorem: HypothesisReport, run: _Run) -> dict:
     observed = theorem.conclusion.observed
     iterations = observed["solve"]["iterations"]
     return {
@@ -736,29 +734,28 @@ def _compute_koparde() -> dict:
             "iterations": iterations,
             "within_15": iterations is not None and iterations <= 15,
         },
-        "theorem": {"all_hold": theorem.all_hold, "match": theorem.conclusion.match},
+        "theorem": _verdict(theorem, "all_hold", "match"),
     }
 
 
-def _compute_patel_deheri() -> dict:
-    sc = builtin_scenario("patel-deheri-demo")
+def _compute_patel_deheri(sc: Scenario, theorem: HypothesisReport, run: _Run) -> dict:
     space, t_map, s_map = sc.space, sc.t_map, sc.s_map
     strict = check_condition(space, t_map, s_map, s_dominated(sc.sigma, 1), sc.mode)
-    theorem, run = _run_theorem(sc)
     return {
         "condition": condition_summary(run.sweeps["dominated-sum-condition"]),
         "strict_condition": condition_summary(strict),
         "s_injective": s_map.is_injective,
         "fixed_points": theorem.conclusion.observed["fixed_points"],
-        "theorem": {
-            "all_hold": theorem.all_hold,
-            "match": theorem.conclusion.match,
-            "solve": theorem.conclusion.observed["solve"],
-        },
+        "theorem": _verdict(
+            theorem, "all_hold", "match", solve=theorem.conclusion.observed["solve"]
+        ),
     }
 
 
 def _compute_classify_gallery() -> dict:
+    """Every falsified sigma_c or r-function verdict names its failing axiom,
+    and every falsified simulation verdict carries a pair witness: both of
+    its axioms pair two sequences, as does the eval(0, 0) != 0 witness."""
     members = {}
     for name, params in catalog.CLASSIFY_MEMBERS:
         fn = gallery(name, **params)
@@ -774,24 +771,15 @@ def _compute_classify_gallery() -> dict:
         }
         sigma1_side = matrix.sigma_c_at(1.0)
         if sigma1_side.outcome is Outcome.FALSIFIED:
-            entry["sigma_c_1_failing"] = (
-                sigma1_side.failing_axiom.value if sigma1_side.failing_axiom else None
-            )
+            entry["sigma_c_1_failing"] = sigma1_side.failing_axiom.value
             entry["sigma_c_1_witness"] = witness_summary(sigma1_side.witness)
         if matrix.simulation.outcome is Outcome.FALSIFIED:
             entry["simulation_witness"] = witness_summary(matrix.simulation.witness)
-            if matrix.simulation.witness is not None and matrix.simulation.witness.family == "pair":
-                a, b = matrix.simulation.witness.components
-                if a.family == "constant" and b.family == "constant":
-                    entry["simulation_witness_value"] = fn.eval(
-                        a.param("value"), b.param("value")
-                    )
+            a, b = matrix.simulation.witness.components
+            if a.family == "constant" and b.family == "constant":
+                entry["simulation_witness_value"] = fn.eval(a.param("value"), b.param("value"))
         if matrix.r_function.outcome is Outcome.FALSIFIED:
-            entry["r_function_failing"] = (
-                matrix.r_function.failing_axiom.value
-                if matrix.r_function.failing_axiom
-                else None
-            )
+            entry["r_function_failing"] = matrix.r_function.failing_axiom.value
             entry["r_function_witness"] = witness_summary(matrix.r_function.witness)
         members[key] = entry
     return {"members": members, "c_values": list(catalog.CLASSIFY_C_VALUES)}

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 
 from kannanlab import (
     NoClrBase,
+    Scenario,
     SolveKind,
     TraceTooShort,
     brute_force_points,
@@ -12,9 +14,11 @@ from kannanlab import (
     constant_map,
     diagnose,
     find_clr_base,
+    gallery,
     identity_map,
     random_space,
     run_picard_pair,
+    run_theorem,
     solve,
     SelfMap,
     space_from_values,
@@ -49,6 +53,34 @@ def test_no_base_when_image_misses_preimages():
     assert find_clr_base(space, t_map, s_map) is None
     with pytest.raises(NoClrBase):
         solve(space, t_map, s_map)
+
+
+def test_lowest_index_policy_skips_preimages_that_start_no_chain():
+    # T(0) = 1 has the S-preimages 1 and 2.  No chain continues from 1, as
+    # T(1) = 2 is no S-image, so the chain from the base 0 takes 2 and ends
+    # at the coincidence point 3.
+    space = space_from_values([0, 1, 2, 3])
+    t_map, s_map = SelfMap(space, (1, 2, 3, 3)), SelfMap(space, (0, 1, 1, 3))
+    assert find_clr_base(space, t_map, s_map) == "0"
+    result = solve(space, t_map, s_map)
+    assert result.kind is SolveKind.COINCIDENCE_POINT
+    assert (result.trace.point_labels(), result.point) == (("0", "2", "3"), "3")
+    sc = Scenario(space, t_map, s_map, sigma=gallery("chi", alpha=0.4), theorem="T3.18")
+    assert run_theorem(sc).conclusion.match
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_solve_never_breaks_from_the_clr_base(n):
+    # Every live point has a live S-preimage of its T-image, and the default
+    # policy takes one, so a chain from find_clr_base's base never breaks.
+    space = space_from_values(list(range(n)))
+    maps = [SelfMap(space, a) for a in itertools.product(range(n), repeat=n)]
+    for t_map in maps:
+        for s_map in maps:
+            base = find_clr_base(space, t_map, s_map)
+            if base is not None:
+                kind = solve(space, t_map, s_map, base).kind
+                assert kind is not SolveKind.CHAIN_BROKEN, (t_map.assignment, s_map.assignment)
 
 
 def test_three_point_orbit_cycles(three_point):

@@ -4,6 +4,7 @@ import json
 import math
 import random
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -343,6 +344,37 @@ def test_exact_decision_agrees_with_the_search(fn):
                 continue
             assert decided.outcome is searched.outcome, key
             assert (decided.witness, decided.detail) == (searched.witness, searched.detail), key
+
+
+_ALPHA = st.floats(0.0, 0.5, exclude_min=True, exclude_max=True, allow_subnormal=False)
+_POSITIVE = st.floats(0.0, 1e6, exclude_min=True, allow_subnormal=False)
+
+
+@given(
+    fn=st.one_of(
+        st.sampled_from([fn for fn in DEFAULT_MEMBERS if fn.profile is not None]),
+        st.tuples(st.sampled_from(("chi", "theta-pi", "theta-l")), _ALPHA).map(
+            lambda member: gallery(member[0], alpha=member[1])
+        ),
+        st.floats(0.0, 2.0, exclude_min=True, allow_subnormal=False).map(
+            lambda m: gallery("linear", slope=m)
+        ),
+    ),
+    t=_POSITIVE,
+    s=_POSITIVE,
+)
+@example(fn=gallery("gamma"), t=0.34, s=1.0)  # just past its sign change at t / s = 1/3
+@example(fn=gallery("step-g"), t=1.0, s=1.0)
+@example(fn=gallery("step-omega"), t=1.0, s=1.0)
+@settings(max_examples=300, deadline=None)
+def test_profiled_eval_has_the_sign_of_its_profile(fn, t, s):
+    # A profiled member defines its function twice, as a float eval and as
+    # an exact ratio profile; wherever the exact value clears float error,
+    # the two agree in sign.
+    v = fn.profile.value(Fraction(t), Fraction(s))
+    if abs(v) > Fraction(1, 2**40) * (Fraction(t) + Fraction(s)):
+        value = fn.eval(t, s)
+        assert (value > 0, value < 0) == (v > 0, v < 0), (fn.name, fn.params, t, s, value, v)
 
 
 _LINEAR_MEMBERS = tuple(fn for fn in DEFAULT_MEMBERS if _linear_slope(fn) is not None)

@@ -196,6 +196,14 @@ def test_gamma_r_function_is_decided_from_its_ratio_profile():
     assert classify(gamma).r_function.outcome is Outcome.CERTIFIED_HOLDS
 
 
+def test_zeta3_search_keeps_a_slope_below_one_open():
+    # zeta3 holds for m * s - t at every m < 1: along sequences with a common
+    # limit L, eval tends to (m - 1) * L < 0.  A harmonic pair's estimate is
+    # read at its farthest probe, where it is within 2e-6 of its limit.
+    fn = ComparisonFn("slope-0.96875", lambda t, s: 0.96875 * s - t)
+    assert check_axiom(fn, AxiomKind.ZETA3).outcome is Outcome.UNDETERMINED
+
+
 def test_check_axiom_rejects_an_empty_prefix():
     with pytest.raises(ValueError, match="prefix_len"):
         check_axiom(gallery("theta-l", alpha=0.3), AxiomKind.ZETA3, prefix_len=0)
