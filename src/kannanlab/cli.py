@@ -33,6 +33,13 @@ EXIT_UNDETERMINED = 2
 EXIT_INPUT = 3
 
 
+def _exit_code(falsified: bool, undetermined: bool = False) -> int:
+    """The exit code of an outcome: falsified before undetermined before ok."""
+    if falsified:
+        return EXIT_FALSIFIED
+    return EXIT_UNDETERMINED if undetermined else EXIT_OK
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kannanlab",
@@ -146,14 +153,8 @@ def _cmd_classify(args, doc: ScenarioDoc):
     classes["r-function"] = _class_dict(matrix.r_function)
     classes["dollar"] = _class_dict(matrix.dollar)
     outcomes = [v["outcome"] for v in classes.values()]
-    if "falsified" in outcomes:
-        code = EXIT_FALSIFIED
-    elif "undetermined" in outcomes:
-        code = EXIT_UNDETERMINED
-    else:
-        code = EXIT_OK
     body = {"scenario": _scenario_echo(doc), "classes": classes}
-    return code, body
+    return _exit_code("falsified" in outcomes, "undetermined" in outcomes), body
 
 
 def _class_dict(verdict) -> dict:
@@ -177,7 +178,7 @@ def _cmd_check(args, doc: ScenarioDoc):
         "condition": doc.condition.describe(),
         **condition_summary(report),
     }
-    return (EXIT_OK if report.holds else EXIT_FALSIFIED), body
+    return _exit_code(not report.holds), body
 
 
 def _trace_summary(trace) -> dict:
@@ -219,13 +220,8 @@ def _cmd_solve(args, doc: ScenarioDoc):
     if len(result.trace.points) >= 2:
         diag = diagnose(result.trace, sc.space, sc.t_map, sc.s_map)
         body["diagnostics"] = vars(diag)
-    if result.kind in (SolveKind.FIXED_POINT, SolveKind.COINCIDENCE_POINT):
-        code = EXIT_OK
-    elif result.kind is SolveKind.BUDGET_EXHAUSTED:
-        code = EXIT_UNDETERMINED
-    else:
-        code = EXIT_FALSIFIED
-    return code, body
+    falsified = result.kind in (SolveKind.CYCLE, SolveKind.CHAIN_BROKEN)
+    return _exit_code(falsified, result.kind is SolveKind.BUDGET_EXHAUSTED), body
 
 
 def _cmd_theorem(args, doc: ScenarioDoc):
@@ -239,13 +235,8 @@ def _cmd_theorem(args, doc: ScenarioDoc):
         "hypotheses": [vars(h) for h in report.hypotheses],
         "conclusion": vars(report.conclusion),
     }
-    if report.all_hold and report.conclusion.match:
-        code = EXIT_OK
-    elif report.any_fails or not report.conclusion.match:
-        code = EXIT_FALSIFIED
-    else:
-        code = EXIT_UNDETERMINED
-    return code, body
+    falsified = report.any_fails or not report.conclusion.match
+    return _exit_code(falsified, not report.all_hold), body
 
 
 def _cmd_reproduce(args):
@@ -257,7 +248,7 @@ def _cmd_reproduce(args):
         "computed": result.computed,
         "golden": result.golden,
     }
-    return (EXIT_OK if result.match else EXIT_FALSIFIED), body
+    return _exit_code(not result.match), body
 
 
 if __name__ == "__main__":

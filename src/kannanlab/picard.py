@@ -148,22 +148,18 @@ def run_picard_pair(
             raise ValueError("policy returned a point that is not an S-preimage")
         return picked
 
-    d = space.d
     t_of = t_map.assignment
     s_of = s_map.assignment
 
     points = [start]
-    s_images = [s_of[start]]
-    t_images = [t_of[start]]
-    steps = [d(s_images[0], t_images[0])]
     positions = {start: 0}
-    coincidence = 0 if s_images[0] == t_images[0] else None
+    coincidence = 0 if s_of[start] == t_of[start] else None
     cycle: Cycle | None = None
     broken: int | None = None
     limit = max_iter
 
     while coincidence is None and broken is None and len(points) < limit:
-        nxt = choose(t_images[-1])
+        nxt = choose(t_of[points[-1]])
         if nxt is None:
             broken = len(points) - 1
             break
@@ -176,23 +172,21 @@ def run_picard_pair(
             limit = min(max_iter, idx + period + max(tail_window, period))
         points.append(nxt)
         positions.setdefault(nxt, idx)
-        s_images.append(s_of[nxt])
-        t_images.append(t_of[nxt])
-        steps.append(d(s_images[-1], t_images[-1]))
-        if s_images[-1] == t_images[-1]:
+        if s_of[nxt] == t_of[nxt]:
             coincidence = idx
 
-    c_seq = _suffix_supremum(space, s_images)
+    s_images = tuple(s_of[x] for x in points)
+    t_images = tuple(t_of[x] for x in points)
     return PicardTrace(
         space=space,
         points=tuple(points),
-        s_images=tuple(s_images),
-        t_images=tuple(t_images),
-        step_distances=tuple(steps),
+        s_images=s_images,
+        t_images=t_images,
+        step_distances=tuple(map(space.d, s_images, t_images)),
         coincidence_index=coincidence,
         cycle=cycle,
         chain_broken_at=broken,
-        c_sequence=tuple(c_seq),
+        c_sequence=tuple(_suffix_supremum(space, s_images)),
     )
 
 

@@ -129,7 +129,7 @@ def parse_scenario_dict(raw: dict, overrides: dict | None = None) -> ScenarioDoc
     fields = _parse_space_and_maps(raw)
     space = fields["space"]
     if "sigma" in raw:
-        fields["sigma"], fields["c"] = _parse_sigma(raw["sigma"])
+        fields["sigma"], fields["c"] = _parse_sigma(raw)
     fields.update(_read_settings(raw))
     if "theorem" in raw:
         point = partial(_point, space)
@@ -142,7 +142,7 @@ def parse_scenario_dict(raw: dict, overrides: dict | None = None) -> ScenarioDoc
 
     condition = None
     if "check" in raw:
-        condition = _parse_condition(raw["check"], fields.get("sigma"))
+        condition = _parse_condition(raw, fields.get("sigma"))
 
     solve, classify = {}, {}
     if "solve" in raw:
@@ -156,16 +156,21 @@ def parse_scenario_dict(raw: dict, overrides: dict | None = None) -> ScenarioDoc
 
 
 def _section(raw: dict, field: str, readers: dict, defaults: dict | None = None) -> dict:
-    """Section ``field`` of ``raw``, read key by key in the order of ``readers``.
-
-    The section must be a JSON object whose keys all have a reader, which
-    takes the key's value and its field name ``<field>.<key>``.  A key the
-    section lacks takes its entry of ``defaults`` if it has one, and is
-    left out of the result otherwise.
-    """
+    """Section ``field`` of ``raw``, a JSON object whose keys all have a
+    reader, read by :func:`_read_keys`."""
     section = raw[field]
     _require_mapping(field, section)
     _reject_unknown(field, section, set(readers))
+    return _read_keys(section, field, readers, defaults)
+
+
+def _read_keys(section: dict, field: str, readers: dict, defaults: dict | None = None) -> dict:
+    """The keys of ``section`` that have a reader, read in the order of ``readers``.
+
+    Each reader takes the key's value and its field name ``<field>.<key>``.
+    A key the section lacks takes its entry of ``defaults`` if it has one,
+    and is left out of the result otherwise.
+    """
     if defaults:
         section = {**defaults, **section}
     return {
@@ -317,22 +322,22 @@ def _parse_map(space: FiniteMetricSpace, entry, field: str) -> SelfMap:
         raise ValidationError(field, str(e)) from None
 
 
-def _parse_sigma(section) -> tuple[ComparisonFn, float]:
-    _require_mapping("sigma", section)
-    _reject_unknown("sigma", section, {"name", "alpha", "slope", "c"})
-    name = section.get("name")
-    if not isinstance(name, str):
-        raise ValidationError("sigma.name", "required")
-    params = {}
-    if "alpha" in section:
-        params["alpha"] = _finite(section["alpha"], "sigma.alpha")
-    if "slope" in section:
-        params["slope"] = _finite(section["slope"], "sigma.slope")
+def _parse_sigma(raw: dict) -> tuple[ComparisonFn, float]:
+    # ``c`` is read after gallery(), so a bad name or parameter is reported first.
+    readers = {"name": _sigma_name, "alpha": _finite, "slope": _finite, "c": lambda v, field: v}
+    params = _section(raw, "sigma", readers, {"name": None, "c": 1.0})
+    c = params.pop("c")
     try:
-        fn = gallery(name, **params)
+        fn = gallery(**params)
     except (UnknownGallery, MissingParam, ParamOutOfRange) as e:
         raise ValidationError("sigma", str(e)) from None
-    return fn, _c(section.get("c", 1.0), "sigma.c")
+    return fn, _c(c, "sigma.c")
+
+
+def _sigma_name(value, field: str) -> str:
+    if not isinstance(value, str):
+        raise ValidationError(field, "required")
+    return value
 
 
 def _c(value, field: str) -> float:
@@ -343,38 +348,23 @@ def _c(value, field: str) -> float:
     return c
 
 
-def _parse_condition(section, sigma: ComparisonFn | None) -> ConditionSpec:
+def _parse_condition(raw: dict, sigma: ComparisonFn | None) -> ConditionSpec:
+    section = raw["check"]
     _require_mapping("check", section)
-    _reject_unknown("check", section, {"condition", "alpha", "gamma", "w"})
-    kind = ConditionKind(
-        _choice(
-            section.get("condition"),
-            "check.condition",
-            _CONDITIONS,
-            f"must be one of {sorted(_CONDITIONS)}",
-        )
-    )
+    _reject_unknown("check", section, {"condition", *_CHECK_DEFAULTS})
+    kind = ConditionKind(_condition(section.get("condition"), "check.condition"))
+    build, takes_sigma, readers = _CHECKS[kind]
+    if takes_sigma and sigma is None:
+        raise ValidationError("sigma", f"{kind.value} needs a sigma section")
+    args = _read_keys(section, "check", readers, _CHECK_DEFAULTS).values()
     try:
-        if kind is ConditionKind.CLASSICAL_KANNAN:
-            return classical_kannan(_finite(section.get("alpha"), "check.alpha"))
-        if kind is ConditionKind.KOPARDE_WAGHMODE:
-            return koparde_waghmode(_finite(section.get("alpha"), "check.alpha"))
-        if kind is ConditionKind.MALCESKI:
-            return malceski(
-                _finite(section.get("alpha"), "check.alpha"),
-                _finite(section.get("gamma", 0.0), "check.gamma"),
-            )
-        if sigma is None:
-            raise ValidationError("sigma", f"{kind.value} needs a sigma section")
-        if kind is ConditionKind.SIGMA_KANNAN:
-            return sigma_kannan(sigma)
-        if kind is ConditionKind.SIGMA_S_KANNAN:
-            return sigma_s_kannan(sigma)
-        return s_dominated(sigma, _integer(section.get("w", 1), "check.w", positive=True))
-    except ValidationError:
-        raise
+        spec = build(sigma, *args) if takes_sigma else build(*args)
     except ValueError as e:
         raise ValidationError("check", str(e)) from None
+    # Refused last, so that a key the condition does not take is reported
+    # only when nothing it does take is at fault.
+    _reject_unknown("check", section, {"condition", *readers})
+    return spec
 
 
 def _name(value):
@@ -439,3 +429,19 @@ def _choice(value, field: str, choices, reason: str) -> str:
 
 _theorem_id = partial(_choice, choices=THEOREM_IDS, reason=f"must be one of {list(THEOREM_IDS)}")
 _positive_integer = partial(_integer, positive=True)
+
+_condition = partial(_choice, choices=_CONDITIONS, reason=f"must be one of {sorted(_CONDITIONS)}")
+
+#: Per condition: its constructor, whether it takes the scenario's sigma
+#: (as its first argument), and a reader for each key it takes, in argument
+#: order.  A key the section lacks takes its entry of ``_CHECK_DEFAULTS``;
+#: ``alpha``'s None is read as missing, so ``alpha`` is required.
+_CHECKS = {
+    ConditionKind.CLASSICAL_KANNAN: (classical_kannan, False, {"alpha": _finite}),
+    ConditionKind.SIGMA_KANNAN: (sigma_kannan, True, {}),
+    ConditionKind.SIGMA_S_KANNAN: (sigma_s_kannan, True, {}),
+    ConditionKind.S_DOMINATED: (s_dominated, True, {"w": _positive_integer}),
+    ConditionKind.MALCESKI: (malceski, False, {"alpha": _finite, "gamma": _finite}),
+    ConditionKind.KOPARDE_WAGHMODE: (koparde_waghmode, False, {"alpha": _finite}),
+}
+_CHECK_DEFAULTS = {"alpha": None, "gamma": 0.0, "w": 1}

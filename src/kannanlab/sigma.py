@@ -535,13 +535,17 @@ class _Axiom(NamedTuple):
     eval(t, s) stay positive at every probed index; otherwise when the
     limsup of ``quantity(t, s, eval(t, s))`` (eval itself when None) reaches
     the threshold: exactly for constant sequences, and for families when its
-    value at the farthest ``tail`` index exceeds ``threshold + 1e-9``.
-    Families are probed at the first ``prefix_len`` indices and at the far
-    ``tail``.  A finite probe cannot resolve a limsup just below the
-    threshold: at n = 10**6 a harmonic pair is still about 2e-6 from its
-    limit, so zeta3 of m * s - t is refuted for m within about 2e-6 of 1,
-    although it holds for every m < 1.  ``claim(a, b, c)`` is
-    the limit statement that makes a violating witness a counterexample.
+    value at the farthest ``tail`` index, their only probe, exceeds
+    ``threshold + 1e-9``.  Without a threshold, families are probed at the
+    first ``prefix_len`` indices and at the far ``tail``.  A finite probe
+    cannot resolve a limsup just below the threshold: at n = 10**6 a
+    harmonic pair is still about 2e-6 from its limit, so zeta3 of m * s - t
+    is refuted for m within about 2e-6 of 1, although it holds for every
+    m < 1.  Nor can it see a sign change past its last index: sigma1 of
+    m * s - t at m = 0.49999999999999994 is refuted by harmonic(1), whose
+    eval turns negative only past n = 6.7e7, although sigma1 holds.
+    ``claim(a, b, c)`` is the limit statement that makes a violating witness
+    a counterexample.
     """
 
     pairing: _Pairing
@@ -600,19 +604,21 @@ class _Axiom(NamedTuple):
         at, start = self.pairing.at, self.pairing.start
         for cand in candidates:
             terms = [partial(_family(family).term, params) for family, params in cand]
+            if threshold is not None:
+                # The limsup estimate is the value at the farthest probe.
+                b.spend()
+                t, s = at(terms[0], terms[-1], self.tail[-1])
+                value = ev(t, s)
+                if (value if quantity is None else quantity(t, s, value)) > threshold + 1e-9:
+                    return cand, {}
+                continue
             for n in itertools.chain(range(start, start + prefix_len), self.tail):
                 b.spend()
                 t, s = at(terms[0], terms[-1], n)
-                if threshold is None:
-                    if t <= 0 or s <= 0 or not ev(t, s) > 0.0:
-                        break
-                else:
-                    value = ev(t, s)
-                    q = value if quantity is None else quantity(t, s, value)
+                if t <= 0 or s <= 0 or not ev(t, s) > 0.0:
+                    break
             else:
-                # The limsup estimate is the value at the farthest probe.
-                if threshold is None or q > threshold + 1e-9:
-                    return cand, {}
+                return cand, {}
         return None
 
 

@@ -53,6 +53,21 @@ NON_STRING_CHOICES = [
     )
 ]
 
+#: (check section, the key it carries that its condition does not take).
+UNTAKEN_KEYS = [
+    ({"condition": condition, **taken, key: value}, key)
+    for condition, taken in (
+        ("classical-kannan", {"alpha": 0.3}),
+        ("koparde-waghmode", {"alpha": 0.3}),
+        ("malceski", {"alpha": 0.3, "gamma": 0.1}),
+        ("sigma-kannan", {}),
+        ("sigma-s-kannan", {}),
+        ("s-dominated", {"w": 2}),
+    )
+    for key, value in (("alpha", 0.3), ("gamma", 0.1), ("w", 2))
+    if key not in taken
+]
+
 #: (field, document) pairs giving null where a point belongs.
 NULL_POINTS = [
     ("theorem.x0", {"space": {"type": "builtin", "name": "koparde-demo"}, "theorem": {"x0": None}}),
@@ -560,6 +575,39 @@ def test_condition_section_covers_all_forms(tmp_path):
         parse_scenario_dict({**base, "check": {"condition": "banach"}})
 
 
+def test_cli_check_refuses_a_key_its_condition_does_not_take(tmp_path, capsys):
+    assert len(UNTAKEN_KEYS) == 13
+    for section, key in UNTAKEN_KEYS:
+        path = write(tmp_path, "untaken.json", {**_EXPLICIT, "check": section})
+        assert main(["check", path]) == 3, section
+        assert json.loads(capsys.readouterr().out)["error"] == f"check: unknown key(s) [{key!r}]"
+    # Values no reader would take are refused by key, not read.
+    section = {"condition": "sigma-kannan", "alpha": "abc", "gamma": None, "w": -4}
+    assert main(["check", write(tmp_path, "untaken.json", {**_EXPLICIT, "check": section})]) == 3
+    assert json.loads(capsys.readouterr().out)["error"] == (
+        "check: unknown key(s) ['alpha', 'gamma', 'w']"
+    )
+
+
+def test_check_section_errors_come_in_their_order():
+    # A key outside every condition is refused first, a missing sigma next;
+    # a key the condition does not take only when nothing else is at fault.
+    no_sigma = {"space": {"type": "finite", "points": [1, 2, 3]}, "maps": {"T": "identity"}}
+    for base, section, message in (
+        (_EXPLICIT, {"condition": "banach", "bogus": 1}, "check: unknown key(s) ['bogus']"),
+        (no_sigma, {"condition": "sigma-kannan", "alpha": 0.3},
+         "sigma: sigma-kannan needs a sigma section"),
+        (_EXPLICIT, {"condition": "classical-kannan", "gamma": 0.1}, "check.alpha: required"),
+        (_EXPLICIT, {"condition": "classical-kannan", "alpha": 0.6, "w": 2},
+         "check: classical condition requires 0 < alpha < 1/2"),
+        (_EXPLICIT, {"condition": "s-dominated", "w": 0, "alpha": 0.3},
+         "check.w: must be a positive integer"),
+    ):
+        with pytest.raises(ValidationError) as err:
+            parse_scenario_dict({**base, "check": section})
+        assert str(err.value) == message, section
+
+
 def test_numbers_name_points_as_the_space_names_them():
     base = {"space": {"type": "finite", "points": [1.0, 2.5]}, "maps": {"T": "identity"}}
     assert parse_scenario_dict({**base, "solve": {"x0": 1.0}}).solve_x0 == "1"
@@ -710,6 +758,8 @@ def test_schema_accepts_what_the_parser_accepts():
         {"space": {"type": "finite", "points": [1, 2], "labels": 5}, "maps": {"T": "identity"}},
         {**_EXPLICIT, "theorem": {"id": "T3.18", "c": 0}},
         *(doc for _, doc in BOOLEAN_INTEGERS + NON_STRING_CHOICES + NULL_POINTS),
+        *({**_EXPLICIT, "check": section} for section, _ in UNTAKEN_KEYS),
+        {**_EXPLICIT, "check": {"condition": "malceski", "gamma": 0.1}},
     ]
     for doc in rejected:
         with pytest.raises(ValidationError):

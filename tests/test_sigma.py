@@ -204,6 +204,13 @@ def test_zeta3_search_keeps_a_slope_below_one_open():
     assert check_axiom(fn, AxiomKind.ZETA3).outcome is Outcome.UNDETERMINED
 
 
+def test_zeta3_spends_one_evaluation_per_family_candidate():
+    # A family's limsup estimate reads only its farthest probe, so each of
+    # the 36 family candidates costs one evaluation after the 212 exact ones.
+    fn = ComparisonFn("slope-0.96875", lambda t, s: 0.96875 * s - t)
+    assert check_axiom(fn, AxiomKind.ZETA3).budget_used == 248
+
+
 def test_check_axiom_rejects_an_empty_prefix():
     with pytest.raises(ValueError, match="prefix_len"):
         check_axiom(gallery("theta-l", alpha=0.3), AxiomKind.ZETA3, prefix_len=0)
