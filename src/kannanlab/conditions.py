@@ -1,22 +1,37 @@
 """Exhaustive contraction-condition sweeps over finite spaces.
 
-A sweep searches the ordered pairs a row at a time, in index order, and
-stops at the first failing pair, so the violation reported is the
-lexicographically first.  Whether a pair is checked depends only on its two
-images, so the checked pairs are counted once per image pair, apart from
-the search.  Pair skipping in the positive mode drops pairs whose image
-distance (raised to the configured degree where one applies) is zero
-within tolerance: the strict comparison forms are not satisfiable at such
-pairs for the linear function families, and the convergence arguments only
-ever invoke the condition on pairs with distinct images.
+Every condition sees a pair (x, y) only through its two images, which give
+t = d(ax, ay)^w, and its two per-point terms e(x), e(y), which give
+s = e(x) + e(y).  So a sweep works on image classes: a class is one
+distinct image with its multiplicity and its least term.  t is computed
+once per pair of classes, and the checked pairs are counted from that
+table, apart from the search.
+
+The search goes a row at a time, in index order, and stops at the first
+failing pair, so the violation reported is the lexicographically first.
+The classical and squared forms, and the Kannan supremum, are monotone in
+the two terms, so a class that passes at its least term passes at each of
+its points (the weakest-member rule, see :meth:`Pairing.first_hit`): a
+sweep that holds costs one test per pair of classes, and only a row that
+fails against the class minima is searched pair by pair.  The sigma forms
+and malceski test every pair.
+
+Pair skipping in the positive mode drops pairs whose image distance
+(raised to the configured degree where one applies) is zero within
+tolerance: the strict comparison forms are not satisfiable at such pairs
+for the linear function families, and the convergence arguments only ever
+invoke the condition on pairs with distinct images.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
+from array import array
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from enum import Enum
+from numbers import Real
+from operator import itemgetter
 
 from .metric import DEFAULT_TOL, FiniteMetricSpace, SelfMap, require_same_space
 from .sigma import ComparisonFn
@@ -58,29 +73,37 @@ class ConditionSpec:
 
 
 def classical_kannan(alpha: float) -> ConditionSpec:
-    if not 0.0 < alpha < 0.5:
+    if not (isinstance(alpha, Real) and 0.0 < alpha < 0.5):
         raise ValueError("classical condition requires 0 < alpha < 1/2")
     return ConditionSpec(ConditionKind.CLASSICAL_KANNAN, alpha=alpha)
 
 
+def _require_sigma(sigma) -> None:
+    if not isinstance(sigma, ComparisonFn):
+        raise ValueError("sigma condition requires a comparison function")
+
+
 def sigma_kannan(sigma: ComparisonFn) -> ConditionSpec:
+    _require_sigma(sigma)
     return ConditionSpec(ConditionKind.SIGMA_KANNAN, sigma=sigma)
 
 
 def sigma_s_kannan(sigma: ComparisonFn) -> ConditionSpec:
+    _require_sigma(sigma)
     return ConditionSpec(ConditionKind.SIGMA_S_KANNAN, sigma=sigma)
 
 
 def s_dominated(sigma: ComparisonFn, w: int) -> ConditionSpec:
     if not (isinstance(w, int) and w >= 1):
         raise ValueError("degree w must be a positive integer")
+    _require_sigma(sigma)
     return ConditionSpec(ConditionKind.S_DOMINATED, sigma=sigma, w=w)
 
 
 def malceski(alpha: float, gamma: float) -> ConditionSpec:
-    if not alpha > 0.0:
+    if not (isinstance(alpha, Real) and alpha > 0.0):
         raise ValueError("malceski condition requires alpha > 0")
-    if gamma < 0.0:
+    if not isinstance(gamma, Real) or gamma < 0.0:
         raise ValueError("malceski condition requires gamma >= 0")
     if not 2.0 * alpha + gamma < 1.0:
         raise ValueError("malceski condition requires 2*alpha + gamma < 1")
@@ -88,9 +111,22 @@ def malceski(alpha: float, gamma: float) -> ConditionSpec:
 
 
 def koparde_waghmode(alpha: float) -> ConditionSpec:
-    if not 0.0 < alpha < 0.5:
+    if not (isinstance(alpha, Real) and 0.0 < alpha < 0.5):
         raise ValueError("squared condition requires 0 < alpha < 1/2")
     return ConditionSpec(ConditionKind.KOPARDE_WAGHMODE, alpha=alpha)
+
+
+#: Each kind's constructor and the spec fields it takes, in argument order.
+#: A sweep refuses a directly built spec that its constructor refuses, and
+#: a scenario's ``check`` section builds its spec through this table.
+_CONSTRUCTORS = {
+    ConditionKind.CLASSICAL_KANNAN: (classical_kannan, ("alpha",)),
+    ConditionKind.SIGMA_KANNAN: (sigma_kannan, ("sigma",)),
+    ConditionKind.SIGMA_S_KANNAN: (sigma_s_kannan, ("sigma",)),
+    ConditionKind.S_DOMINATED: (s_dominated, ("sigma", "w")),
+    ConditionKind.MALCESKI: (malceski, ("alpha", "gamma")),
+    ConditionKind.KOPARDE_WAGHMODE: (koparde_waghmode, ("alpha",)),
+}
 
 
 @dataclass(frozen=True)
@@ -126,6 +162,17 @@ _PAIRINGS = {
     ConditionKind.KOPARDE_WAGHMODE: ("T", "x", "T", 2),
 }
 
+#: The kinds whose pair test is monotone in the two terms (see
+#: :meth:`Pairing.first_hit`).
+_MONOTONE = (ConditionKind.CLASSICAL_KANNAN, ConditionKind.KOPARDE_WAGHMODE)
+
+
+def _picker(indices: Sequence[int]):
+    """The function that takes a sequence to the tuple of its items at ``indices``."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    return lambda seq: tuple(seq[i] for i in indices)
+
 
 class PowerOverflow(ValueError):
     """A distance raised to the condition's degree w is beyond the double range."""
@@ -134,10 +181,12 @@ class PowerOverflow(ValueError):
         super().__init__(f"a distance raised to w = {w} overflows a double")
 
 
-def _powered(row, indices, w: int) -> list[float]:
-    """``row[b] ** w`` for b in ``indices`` (w = 1 skips the power)."""
+def _powered(row: Sequence[float], w: int) -> Sequence[float]:
+    """``d ** w`` for each d in ``row`` (w = 1 keeps the row).  A powered row
+    is an array of doubles, so that a table makes no k^2 float objects:
+    lists of floats raised the peak memory of a long run of sweeps."""
     try:
-        return [row[b] for b in indices] if w == 1 else [row[b] ** w for b in indices]
+        return row if w == 1 else array("d", [d**w for d in row])
     except OverflowError:
         raise PowerOverflow(w) from None
 
@@ -145,29 +194,90 @@ def _powered(row, indices, w: int) -> list[float]:
 @dataclass(frozen=True)
 class Pairing:
     """One condition's pair terms on one space: every condition compares
-    t = d(ax, ay)^w with s = ``terms[x] + terms[y]``, ``terms`` holding e(x)^w."""
+    t = d(ax, ay)^w with s = ``terms[x] + terms[y]``, ``terms`` holding e(x)^w.
+
+    Point x is in class ``classes[x]``; class c holds the points whose image
+    is ``heads[c]``, ``counts[c]`` of them, and ``least[c]`` is their least
+    term.  When some term is negative or NaN (a table built without
+    validation, or a diagonal entry below 0 within tolerance), each point
+    is its own class, so every test is per pair.
+    """
 
     space: FiniteMetricSpace
-    image: tuple[int, ...]
     terms: tuple[float, ...]
     w: int
+    classes: tuple[int, ...]
+    heads: tuple[int, ...]
+    counts: tuple[int, ...]
+    least: tuple[float, ...]
+
+    def table(self) -> list[Sequence[float]]:
+        """t of every pair of classes, row a holding the pairs (a, b) in
+        class order: k^2 values for k classes."""
+        pick, dist, w = _picker(self.heads), self.space.dist, self.w
+        return [_powered(pick(dist[h]), w) for h in self.heads]
 
     def t_row(self, i: int) -> list[float]:
         """t of the pairs (i, j), j in index order."""
-        return _powered(self.space.dist[self.image[i]], self.image, self.w)
+        row, heads = self.space.dist[self.heads[self.classes[i]]], self.heads
+        return list(_powered([row[heads[b]] for b in self.classes], self.w))
 
     def pair(self, i: int, j: int) -> tuple[float, float]:
         return self.t_row(i)[j], self.terms[i] + self.terms[j]
 
-    def checked(self, skip_tol: float) -> int:
+    def checked(self, table: list[Sequence[float]], skip_tol: float) -> int:
         """How many ordered pairs have t > skip_tol (a NaN t does not): each
-        image pair (a, b) is tested once and counts k_a * k_b times, with k_a
-        the number of points whose image is a."""
-        k, dist, w = Counter(self.image), self.space.dist, self.w
-        return sum(
-            ka * sum([kb for t, kb in zip(_powered(dist[a], k, w), k.values()) if t > skip_tol])
-            for a, ka in k.items()
+        class pair (a, b) of ``table`` counts k_a * k_b times.  The pairs
+        left out are few, so they are the ones counted."""
+        counts = self.counts
+        skipped = sum(
+            ka * sum([kb for t, kb in zip(row, counts) if not t > skip_tol])
+            for row, ka in zip(table, counts)
         )
+        return len(self.terms) ** 2 - skipped
+
+    def weakest(self, table: list[Sequence[float]], hit) -> Callable[[int], bool]:
+        """The weakest-member test of ``hit``: whether class a hits at its
+        least term, ``hit(None, least[a], table[a], least)`` (see
+        :meth:`first_hit`)."""
+        least = self.least
+        return lambda a: hit(None, least[a], table[a], least) is not None
+
+    def first_hit(self, table: list[Sequence[float]], hit, weak: Callable[[int], bool] | None):
+        """``(i, found)`` for the first row i, in index order, where
+        ``found = hit(i, terms[i], t_row(i), terms)`` is not None, or None.
+
+        ``hit(i, e, row, terms)`` searches one row: the pairs with t
+        ``row[j]`` and terms ``e`` and ``terms[j]``.  Given ``weak``, ``hit``
+        must find a pair whenever it finds one with smaller terms and the
+        same t (it is monotone), and ``weak(a)`` must say whether class a
+        hits at its least term (:meth:`weakest`).  Then a row is searched
+        only if its class hits there and the row hits against the class
+        minima, ``hit(i, terms[i], table[a], least)``.  Each such test is
+        exact: a class's least term is a point's term, and by monotonicity
+        no point of a class that passes at the least terms can fail.
+
+        The classical and squared tests are monotone for alpha > 0: for
+        non-negative terms fl(alpha * fl(e_x + e_y)) is non-decreasing in
+        each term, because rounding is monotone, so if t <= alpha * s holds
+        at the two least terms of classes (a, b) it holds at every pair of
+        their points.  With a negative or NaN term each point is its own
+        class, where the tests are the row test itself.
+        """
+        classes, terms, least = self.classes, self.terms, self.least
+        expand = _picker(classes)
+        weak_at: dict[int, bool] = {}
+        for i, a in enumerate(classes):
+            class_row = table[a]
+            if weak is not None:
+                if a not in weak_at:
+                    weak_at[a] = weak(a)
+                if not weak_at[a] or hit(i, terms[i], class_row, least) is None:
+                    continue
+            found = hit(i, terms[i], expand(class_row), terms)
+            if found is not None:
+                return i, found
+        return None
 
 
 def pairing(
@@ -180,24 +290,31 @@ def pairing(
     maps = {"x": range(n), "T": t_of, "S": s_of, "ST": tuple(s_of[v] for v in t_of)}
     image, left, right, w = _PAIRINGS[spec.kind]
     w = w or spec.w or 1
-    try:
-        terms = tuple(dist[a][b] ** w for a, b in zip(maps[left], maps[right]))
-    except OverflowError:
-        raise PowerOverflow(w) from None
-    return Pairing(space, tuple(maps[image]), terms, w)
+    terms = tuple(_powered([dist[a][b] for a, b in zip(maps[left], maps[right])], w))
+    image = maps[image]
+    index: dict[int, int] = {}
+    classes = tuple([index.setdefault(a, len(index)) for a in image])
+    counts, least = [0] * len(index), [math.inf] * len(index)
+    for a, e in zip(classes, terms):
+        if not e >= 0.0:
+            return Pairing(space, terms, w, tuple(range(n)), tuple(image), (1,) * n, terms)
+        counts[a] += 1
+        if e < least[a]:
+            least[a] = e
+    return Pairing(space, terms, w, classes, tuple(index), tuple(counts), tuple(least))
 
 
 def _row_test(spec: ConditionSpec, p: Pairing, s_map: SelfMap | None, skip_tol: float):
-    """The pair test of ``spec`` along one row: a function of (i, row), with
-    row = ``p.t_row(i)``, that gives (j, value, required alpha) for the first
-    j in index order whose pair is checked (t > skip_tol) and fails, or None.
+    """The pair test of ``spec`` along one row, as :meth:`Pairing.first_hit`
+    takes it: a function of (i, e, row, terms) that gives (j, value, required
+    alpha) for the first j in index order whose pair is checked (t >
+    skip_tol) and fails, or None.  Only malceski reads i.
 
     A sigma is evaluated only on checked pairs, up to the first failure."""
-    terms, alpha, gamma = p.terms, spec.alpha, spec.gamma
-    if spec.kind in (ConditionKind.CLASSICAL_KANNAN, ConditionKind.KOPARDE_WAGHMODE):
+    alpha, gamma = spec.alpha, spec.gamma
+    if spec.kind in _MONOTONE:
 
-        def first_failure(i, row):
-            ei = terms[i]
+        def first_failure(i, ei, row, terms):
             for j, t in enumerate(row):
                 if t > skip_tol and not t <= alpha * (ei + terms[j]):
                     s = ei + terms[j]
@@ -208,8 +325,8 @@ def _row_test(spec: ConditionSpec, p: Pairing, s_map: SelfMap | None, skip_tol: 
         dist = p.space.dist
         s_of = range(p.space.n) if s_map is None else s_map.assignment
 
-        def first_failure(i, row):
-            ei, ds = terms[i], dist[s_of[i]]
+        def first_failure(i, ei, row, terms):
+            ds = dist[s_of[i]]
             for j, t in enumerate(row):
                 if t > skip_tol:
                     rhs = alpha * (ei + terms[j]) + gamma * ds[s_of[j]]
@@ -220,8 +337,7 @@ def _row_test(spec: ConditionSpec, p: Pairing, s_map: SelfMap | None, skip_tol: 
     else:
         ev = spec.sigma.eval
 
-        def first_failure(i, row):
-            ei = terms[i]
+        def first_failure(i, ei, row, terms):
             for j, t in enumerate(row):
                 if t > skip_tol:
                     value = ev(t, ei + terms[j])
@@ -246,21 +362,23 @@ def check_condition(
     alpha; the sigma-driven forms demand a strictly positive value.  The
     classical forms ignore the auxiliary map.  The witness is the first
     failing pair in lexicographic index order; the search stops there, and
-    :meth:`Pairing.checked` counts the checked pairs, reached or not.
+    :meth:`Pairing.checked` counts the checked pairs, reached or not.  A
+    spec that its kind's constructor refuses raises that ``ValueError``.
     """
+    build, fields = _CONSTRUCTORS[spec.kind]
+    build(*(getattr(spec, field) for field in fields))
     skip_tol = tol if mode is PairMode.POSITIVE_PAIRS else -math.inf
     p = pairing(space, t_map, s_map, spec)
+    table = p.table()
     first_failure = _row_test(spec, p, s_map, skip_tol)
+    weak = p.weakest(table, first_failure) if spec.kind in _MONOTONE else None
+    found = p.first_hit(table, first_failure, weak)
     witness: PairWitness | None = None
-    for i in range(space.n):
-        row = p.t_row(i)
-        failure = first_failure(i, row)
-        if failure is not None:
-            j, value, required = failure
-            s = p.terms[i] + p.terms[j]
-            witness = PairWitness(space.labels[i], space.labels[j], row[j], s, value, required)
-            break
-    checked = p.checked(skip_tol)
+    if found is not None:
+        i, (j, value, required) = found
+        t, s = table[p.classes[i]][p.classes[j]], p.terms[i] + p.terms[j]
+        witness = PairWitness(space.labels[i], space.labels[j], t, s, value, required)
+    checked = p.checked(table, skip_tol)
     return ConditionReport(
         spec.kind, witness is None, checked, space.n * space.n - checked, witness
     )
@@ -279,26 +397,60 @@ class KannanSupremum:
     pair: tuple[str, str] | None
 
 
+def _zero_sum(i, ei, row, terms) -> int | None:
+    """The first j along a row with t > 0 and s == 0."""
+    for j, (t, e) in enumerate(zip(row, terms)):
+        if t > 0.0 and ei + e == 0.0:
+            return j
+    return None
+
+
+def _ratios(ei, row, terms) -> list[float]:
+    """t / s along a row, with t / 0 read as inf, and 0.0 where t is not positive."""
+    return [
+        (t / (ei + e) if ei + e else math.inf) if t > 0.0 else 0.0 for t, e in zip(row, terms)
+    ]
+
+
 def kannan_supremum(space: FiniteMetricSpace, t_map: SelfMap) -> KannanSupremum:
     """Supremum of d(Tx,Ty) / (d(Tx,x) + d(Ty,y)) over image-separated pairs.
 
     The classical condition is satisfiable with some alpha < 1/2 exactly
     when this value is below 1/2.  A pair with positive numerator and zero
-    denominator makes the supremum unbounded; with no image-separated pair
-    at all the supremum of the empty set is reported as 0.
+    denominator makes the supremum unbounded, and the first such pair in
+    index order is reported; otherwise the first pair that reaches the
+    maximum is.  With no image-separated pair at all the supremum of the
+    empty set is reported as 0.
+
+    The maximum is taken over the table of classes at their least terms,
+    and both searches follow the weakest-member rule of
+    :meth:`Pairing.first_hit`.  For t > 0 and s >= 0, fl(t / fl(e_x + e_y))
+    (inf at s == 0) is non-increasing in each term, because rounding is
+    monotone, so each class pair reaches its largest ratio at its least
+    terms.  For non-negative terms s == 0 exactly when both terms are 0, so
+    some pair has s == 0 only if a pair of least terms does, and then the
+    maximum is inf; a maximum of inf without such a pair is a quotient
+    beyond the double range.
     """
-    best = 0.0
-    best_pair: tuple[str, str] | None = None
     p = pairing(space, t_map, None, ConditionSpec(ConditionKind.CLASSICAL_KANNAN))
-    terms = p.terms
-    for i, ei in enumerate(terms):
-        for j, t in enumerate(p.t_row(i)):
-            if t > 0.0:
-                s = ei + terms[j]
-                if s == 0.0:
-                    return KannanSupremum(math.inf, True, (space.labels[i], space.labels[j]))
-                ratio = t / s
-                if ratio > best:
-                    best = ratio
-                    best_pair = (space.labels[i], space.labels[j])
-    return KannanSupremum(best, False, best_pair)
+    table, least, labels = p.table(), p.least, space.labels
+    row_best = [
+        max([r for r in _ratios(least[a], row, least) if r > 0.0], default=0.0)
+        for a, row in enumerate(table)
+    ]
+    best = max(row_best, default=0.0)
+    if best == math.inf:
+        found = p.first_hit(table, _zero_sum, p.weakest(table, _zero_sum))
+        if found is not None:
+            i, j = found
+            return KannanSupremum(math.inf, True, (labels[i], labels[j]))
+    if best == 0.0:
+        return KannanSupremum(0.0, False, None)
+
+    def reaches(i, ei, row, terms):
+        # No ratio exceeds the maximum, so the first to reach it equals it.
+        ratios = _ratios(ei, row, terms)
+        return ratios.index(best) if best in ratios else None
+
+    i, j = p.first_hit(table, reaches, lambda a: row_best[a] >= best)
+    return KannanSupremum(best, False, (labels[i], labels[j]))

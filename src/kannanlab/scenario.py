@@ -18,17 +18,7 @@ from functools import partial
 from pathlib import Path
 
 from . import builtins as catalog
-from .conditions import (
-    ConditionKind,
-    ConditionSpec,
-    PairMode,
-    classical_kannan,
-    koparde_waghmode,
-    malceski,
-    s_dominated,
-    sigma_kannan,
-    sigma_s_kannan,
-)
+from .conditions import _CONSTRUCTORS, ConditionKind, ConditionSpec, PairMode
 from .metric import (
     FiniteMetricSpace,
     MetricInvalid,
@@ -48,7 +38,7 @@ from .sigma import (
     UnknownGallery,
     gallery,
 )
-from .theorems import THEOREM_IDS, Scenario, builtin_scenario
+from .theorems import THEOREM_IDS, THEOREM_KEYS, Scenario, builtin_scenario
 
 
 class ParseError(ValueError):
@@ -139,6 +129,9 @@ def parse_scenario_dict(raw: dict, overrides: dict | None = None) -> ScenarioDoc
         section = _section(raw, "theorem", readers, {"id": fields.get("theorem")})
         fields["theorem"] = section.pop("id")
         fields.update(section)
+        # Refused after the keys are read, so that a key the statement does
+        # not read is reported only when no key's value is at fault.
+        _reject_unknown("theorem", raw["theorem"], THEOREM_KEYS[fields["theorem"]])
 
     condition = None
     if "check" in raw:
@@ -353,12 +346,12 @@ def _parse_condition(raw: dict, sigma: ComparisonFn | None) -> ConditionSpec:
     _require_mapping("check", section)
     _reject_unknown("check", section, {"condition", *_CHECK_DEFAULTS})
     kind = ConditionKind(_condition(section.get("condition"), "check.condition"))
-    build, takes_sigma, readers = _CHECKS[kind]
-    if takes_sigma and sigma is None:
+    (build, fields), readers = _CONSTRUCTORS[kind], _CHECKS[kind]
+    if "sigma" in fields and sigma is None:
         raise ValidationError("sigma", f"{kind.value} needs a sigma section")
-    args = _read_keys(section, "check", readers, _CHECK_DEFAULTS).values()
+    values = {"sigma": sigma, **_read_keys(section, "check", readers, _CHECK_DEFAULTS)}
     try:
-        spec = build(sigma, *args) if takes_sigma else build(*args)
+        spec = build(*(values[field] for field in fields))
     except ValueError as e:
         raise ValidationError("check", str(e)) from None
     # Refused last, so that a key the condition does not take is reported
@@ -432,16 +425,17 @@ _positive_integer = partial(_integer, positive=True)
 
 _condition = partial(_choice, choices=_CONDITIONS, reason=f"must be one of {sorted(_CONDITIONS)}")
 
-#: Per condition: its constructor, whether it takes the scenario's sigma
-#: (as its first argument), and a reader for each key it takes, in argument
-#: order.  A key the section lacks takes its entry of ``_CHECK_DEFAULTS``;
-#: ``alpha``'s None is read as missing, so ``alpha`` is required.
+#: Per condition: a reader for each key it takes, in reading order; its
+#: constructor, and whether it takes the scenario's sigma, come from
+#: :data:`conditions._CONSTRUCTORS`.  A key the section lacks takes its entry
+#: of ``_CHECK_DEFAULTS``; ``alpha``'s None is read as missing, so ``alpha``
+#: is required.
 _CHECKS = {
-    ConditionKind.CLASSICAL_KANNAN: (classical_kannan, False, {"alpha": _finite}),
-    ConditionKind.SIGMA_KANNAN: (sigma_kannan, True, {}),
-    ConditionKind.SIGMA_S_KANNAN: (sigma_s_kannan, True, {}),
-    ConditionKind.S_DOMINATED: (s_dominated, True, {"w": _positive_integer}),
-    ConditionKind.MALCESKI: (malceski, False, {"alpha": _finite, "gamma": _finite}),
-    ConditionKind.KOPARDE_WAGHMODE: (koparde_waghmode, False, {"alpha": _finite}),
+    ConditionKind.CLASSICAL_KANNAN: {"alpha": _finite},
+    ConditionKind.SIGMA_KANNAN: {},
+    ConditionKind.SIGMA_S_KANNAN: {},
+    ConditionKind.S_DOMINATED: {"w": _positive_integer},
+    ConditionKind.MALCESKI: {"alpha": _finite, "gamma": _finite},
+    ConditionKind.KOPARDE_WAGHMODE: {"alpha": _finite},
 }
 _CHECK_DEFAULTS = {"alpha": None, "gamma": 0.0, "w": 1}

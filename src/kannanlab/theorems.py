@@ -227,11 +227,15 @@ def _regularity_side_hypothesis(run: _Run) -> Hypothesis:
     return Hypothesis("upper-bound-or-dollar", HypothesisStatus.UNDETERMINED, "neither branch decided")
 
 
+def _sigma2_hypothesis(run: _Run) -> Hypothesis:
+    return _axiom_hypothesis(run.sc, f"sigma2(c={run.sc.c:g})", AxiomKind.SIGMA2, run.sc.c)
+
+
 #: Membership of the scenario's function in the sigma_c class, plus the
 #: upper-bound-or-dollar side condition.
 _SIGMA_CLASS: tuple[_Builder, ...] = (
     lambda run: _axiom_hypothesis(run.sc, "sigma1", AxiomKind.SIGMA1),
-    lambda run: _axiom_hypothesis(run.sc, f"sigma2(c={run.sc.c:g})", AxiomKind.SIGMA2, run.sc.c),
+    _sigma2_hypothesis,
     _regularity_side_hypothesis,
 )
 
@@ -395,6 +399,26 @@ _THEOREMS: dict[str, tuple[_Contract, tuple[_Builder, ...]]] = {
     ),
 }
 THEOREM_IDS = tuple(_THEOREMS)
+
+#: The scenario fields, as keys of a theorem section, that a conclusion or
+#: hypothesis reads besides ``x0``, which every conclusion solves from.
+_READS = {
+    _CLASSICAL: ("alpha",),
+    _SQUARED: ("alpha",),
+    _DOMINATED_SUM: ("alpha",),
+    _S_DOMINATED: ("w",),
+    _sigma2_hypothesis: ("c",),
+    _subsequence_hypothesis: ("q",),
+    _DESIGNATED_FIXED: ("q",),
+    _COINCIDENCE_OR_DESIGNATED: ("q",),
+}
+#: The keys a theorem section may hold for each statement: those it reads.
+THEOREM_KEYS = {
+    tid: frozenset(
+        ("id", "x0", *(key for part in (contract, *checklist) for key in _READS.get(part, ())))
+    )
+    for tid, (contract, checklist) in _THEOREMS.items()
+}
 
 
 class _Run:

@@ -1,8 +1,11 @@
 import random
+import re
 
 import pytest
 
 from kannanlab import (
+    ConditionKind,
+    ConditionSpec,
     PairMode,
     SpaceMismatch,
     brute_force_points,
@@ -162,6 +165,52 @@ def test_condition_spec_validation():
         koparde_waghmode(0.0)
     with pytest.raises(ValueError):
         s_dominated(gallery("tau"), 0)
+
+
+def test_a_spec_built_directly_is_refused_as_its_constructor_refuses_it(five_point):
+    # ConditionSpec is public, so a spec can skip its constructor; the sweep
+    # then raises the constructor's own ValueError before any pair is read.
+    space, t_map, s_map = five_point
+    tau = gallery("tau")
+    kind = ConditionKind
+    classical = "classical condition requires 0 < alpha < 1/2"
+    no_sigma = "sigma condition requires a comparison function"
+    cases = [
+        (ConditionSpec(kind.CLASSICAL_KANNAN), classical),
+        (ConditionSpec(kind.CLASSICAL_KANNAN, alpha=-0.2), classical),
+        (ConditionSpec(kind.CLASSICAL_KANNAN, alpha=float("nan")), classical),
+        (ConditionSpec(kind.KOPARDE_WAGHMODE, alpha=0.5), "squared condition requires"),
+        (ConditionSpec(kind.KOPARDE_WAGHMODE, alpha="0.3"), "squared condition requires"),
+        (ConditionSpec(kind.SIGMA_KANNAN), no_sigma),
+        (ConditionSpec(kind.SIGMA_S_KANNAN, alpha=0.3), no_sigma),
+        (ConditionSpec(kind.S_DOMINATED, w=2), no_sigma),
+        (ConditionSpec(kind.S_DOMINATED, sigma=tau), "degree w must be a positive integer"),
+        (ConditionSpec(kind.S_DOMINATED, sigma=tau, w=0), "degree w must be a positive integer"),
+        (ConditionSpec(kind.MALCESKI, alpha=0.2), "malceski condition requires gamma >= 0"),
+        (ConditionSpec(kind.MALCESKI, gamma=0.1), "malceski condition requires alpha > 0"),
+        (ConditionSpec(kind.MALCESKI, alpha=0.3, gamma=0.5), "2*alpha + gamma < 1"),
+    ]
+    for spec, message in cases:
+        for mode in PairMode:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                check_condition(space, t_map, s_map, spec, mode)
+    # The constructors refuse the same fields with the same messages.
+    for build, args, message in [
+        (classical_kannan, (None,), classical),
+        (sigma_kannan, (None,), no_sigma),
+        (sigma_s_kannan, (object(),), no_sigma),
+        (s_dominated, (None, 1), no_sigma),
+        (malceski, (0.2, None), "malceski condition requires gamma >= 0"),
+        (koparde_waghmode, (None,), "squared condition requires"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build(*args)
+    # A directly built spec that its constructor accepts sweeps as the
+    # constructed one does.
+    direct = ConditionSpec(kind.CLASSICAL_KANNAN, alpha=0.3)
+    assert check_condition(space, t_map, s_map, direct) == check_condition(
+        space, t_map, s_map, classical_kannan(0.3)
+    )
 
 
 def test_space_mismatch_raises(five_point, three_point):

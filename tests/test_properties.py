@@ -17,6 +17,7 @@ from kannanlab import (
     ComparisonFn,
     ConditionKind,
     ConditionReport,
+    FiniteMetricSpace,
     HypothesisStatus,
     KannanSupremum,
     MalformedScenario,
@@ -623,9 +624,9 @@ def _sweep_space(shape, n, seed):
 
 @given(
     seed=st.integers(min_value=0, max_value=10_000),
-    n=st.sampled_from([*range(1, 9), 20, 30]),
+    n=st.sampled_from([*range(1, 9), 20, 30, 40, 60]),
     shape=st.sampled_from(["random", "asymmetric", "sub-tolerance", "at-tolerance"]),
-    image_size=st.sampled_from([None, 1, 2]),
+    image_size=st.sampled_from([None, 1, 2, "third"]),
     data=st.data(),
 )
 @settings(max_examples=150, deadline=None)
@@ -634,8 +635,10 @@ def test_condition_sweeps_match_the_per_pair_restatement(seed, n, shape, image_s
     n = space.n
     point = st.integers(0, n - 1)
     if image_size is not None:
-        # T onto at most one or two points: few distinct rows to count.
-        image = data.draw(st.lists(point, min_size=image_size, max_size=image_size), label="image")
+        # T onto at most one, two or about n/3 points: few image classes,
+        # each with several members.
+        size = max(1, n // 3) if image_size == "third" else image_size
+        image = data.draw(st.lists(point, min_size=size, max_size=size), label="image")
         point = st.sampled_from(image)
     t_map = SelfMap(space, tuple(data.draw(st.lists(point, min_size=n, max_size=n), label="T")))
     s_map = SelfMap(space, tuple(data.draw(st.lists(point, min_size=n, max_size=n), label="S")))
@@ -655,6 +658,80 @@ def test_condition_sweeps_match_the_per_pair_restatement(seed, n, shape, image_s
                 expected = _reference_sweep(space, t_map, s, spec, mode)
                 assert check_condition(space, t_map, s, spec, mode) == expected, (spec, mode)
     assert kannan_supremum(space, t_map) == _reference_supremum(space, t_map)
+
+
+def _sweep_specs(alpha, sigma, w, gamma):
+    return (
+        classical_kannan(alpha),
+        sigma_kannan(sigma),
+        sigma_s_kannan(sigma),
+        s_dominated(sigma, w),
+        malceski(alpha, gamma),
+        koparde_waghmode(alpha),
+    )
+
+
+def _max_ratio_pairs(space, t_map):
+    """How many ordered pairs reach the reference supremum's value: those
+    with t > 0 and s == 0 when it is unbounded."""
+    sup = _reference_supremum(space, t_map)
+    t_of, d = t_map.assignment, space.d
+    count = 0
+    for i in range(space.n):
+        for j in range(space.n):
+            t, s = d(t_of[i], t_of[j]), d(t_of[i], i) + d(t_of[j], j)
+            if t > 0.0:
+                count += s == 0.0 if sup.unbounded else s > 0.0 and t / s == sup.value
+    return count
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_supremum_ties_report_the_first_pair_reaching_the_maximum(seed):
+    # Evenly spaced points and the thirds grid have small-integer distance
+    # ratios, so several pairs, in several image classes, share the maximum.
+    rng = random.Random(seed)
+    cases = [catalog.thirds_grid(30)[:2]]
+    for space in (space_from_values(range(12 + seed)), catalog.thirds_grid(30)[0]):
+        n = space.n
+        image = [rng.randrange(n) for _ in range(rng.choice((2, 3, n // 3)))]
+        cases.append((space, SelfMap(space, tuple(rng.choice(image) for _ in range(n)))))
+        cases.append((space, SelfMap(space, tuple(rng.randrange(n) for _ in range(n)))))
+    tied = 0
+    for space, t_map in cases:
+        assert kannan_supremum(space, t_map) == _reference_supremum(space, t_map)
+        tied += _max_ratio_pairs(space, t_map) > 2
+        for spec in _sweep_specs(0.3, gallery("chi", alpha=0.4), 2, 0.1):
+            for mode in PairMode:
+                expected = _reference_sweep(space, t_map, None, spec, mode)
+                assert check_condition(space, t_map, None, spec, mode) == expected, (spec, mode)
+    assert tied
+
+
+@pytest.mark.parametrize("entry", [math.nan, -0.25, -1e-12])
+@pytest.mark.parametrize("seed", range(6))
+def test_sweeps_of_a_table_built_without_validation_match_the_restatement(entry, seed):
+    # A directly built space may hold a NaN or negative distance.  Placed at
+    # d(Tx, x) and d(x, Tx) for a point x outside T's image, it is a
+    # per-point term of every kind (with S the identity) but no image
+    # distance t, so each pair is still counted as the restatement counts it.
+    rng = random.Random(seed)
+    base = random_space(rng.choice((5, 9, 20)), rng)
+    n = base.n
+    x = rng.randrange(n)
+    others = [i for i in range(n) if i != x]
+    image = [rng.choice(others) for _ in range(rng.choice((1, 2, max(1, n // 3))))]
+    t_map = SelfMap(base, tuple(rng.choice(image) for _ in range(n)))
+    dist = [list(row) for row in base.dist]
+    dist[t_map.assignment[x]][x] = dist[x][t_map.assignment[x]] = entry
+    space = FiniteMetricSpace(base.labels, tuple(map(tuple, dist)))
+    t_map = SelfMap(space, t_map.assignment)
+    sigmas = (gallery("chi", alpha=0.4), gallery("tau"), gallery("step-omega"))
+    for spec in _sweep_specs(0.3, rng.choice(sigmas), rng.randint(1, 3), 0.1):
+        for mode in PairMode:
+            expected = _reference_sweep(space, t_map, None, spec, mode)
+            # NaN != NaN, so the reports are compared as text.
+            assert repr(check_condition(space, t_map, None, spec, mode)) == repr(expected)
+    assert repr(kannan_supremum(space, t_map)) == repr(_reference_supremum(space, t_map))
 
 
 @pytest.mark.parametrize("n_max", [20, 120])

@@ -2,6 +2,7 @@ import json
 import math
 import random
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,13 @@ from kannanlab.cli import main
 from kannanlab.report import render_json
 from kannanlab.scenario import ParseError, ValidationError, parse_scenario, parse_scenario_dict
 from kannanlab.sigma import GALLERY_NAMES
-from kannanlab.theorems import _COMPUTERS, THEOREM_IDS, builtin_scenario, run_theorem
+from kannanlab.theorems import (
+    _COMPUTERS,
+    THEOREM_IDS,
+    THEOREM_KEYS,
+    builtin_scenario,
+    run_theorem,
+)
 
 
 _EXPLICIT = {
@@ -73,6 +80,17 @@ NULL_POINTS = [
     ("theorem.x0", {"space": {"type": "builtin", "name": "koparde-demo"}, "theorem": {"x0": None}}),
     ("theorem.q", {**_EXPLICIT, "theorem": {"id": "T3.29", "q": None}}),
     ("solve.x0", {**_EXPLICIT, "solve": {"x0": None}}),
+]
+
+#: A value each theorem-section key takes on ``_EXPLICIT``'s space.
+_THEOREM_VALUES = {"alpha": 0.3, "w": 2, "c": 1.5, "x0": "1", "q": "2"}
+
+#: (section, key) pairs giving a statement a key it does not read.
+UNREAD_THEOREM_KEYS = [
+    ({"id": tid, key: value}, key)
+    for tid in THEOREM_IDS
+    for key, value in _THEOREM_VALUES.items()
+    if key not in THEOREM_KEYS[tid]
 ]
 
 
@@ -589,6 +607,52 @@ def test_cli_check_refuses_a_key_its_condition_does_not_take(tmp_path, capsys):
     )
 
 
+def test_theorem_keys_are_those_each_statement_reads():
+    readers = {
+        key: {tid for tid in THEOREM_IDS if key in THEOREM_KEYS[tid]} for key in _THEOREM_VALUES
+    }
+    assert readers == {
+        "alpha": {"T2.1", "T2.2", "C3.31", "C3.32"},
+        "w": {"T3.29"},
+        "c": {"T3.17", "T3.18", "T3.29", "T3.33", "C3.19"},
+        "x0": set(THEOREM_IDS),
+        "q": {"T2.2", "T3.17", "T3.33"},
+    }
+    # A field a statement does not read leaves its run unchanged.
+    doc = {**_EXPLICIT, "maps": {"T": {"1": "2", "2": "3", "3": "2"}, "S": "identity"}}
+    for tid in THEOREM_IDS:
+        read = {key: v for key, v in _THEOREM_VALUES.items() if key in THEOREM_KEYS[tid]}
+        sc = parse_scenario_dict({**doc, "theorem": {"id": tid, **read}}).scenario
+        expected = repr(run_theorem(sc))
+        for key, value in _THEOREM_VALUES.items():
+            if key not in read:
+                assert repr(run_theorem(replace(sc, **{key: value}))) == expected, (tid, key)
+
+
+def test_cli_theorem_refuses_a_key_its_statement_does_not_read(tmp_path, capsys):
+    assert len(UNREAD_THEOREM_KEYS) == 23
+    for section, key in UNREAD_THEOREM_KEYS:
+        path = write(tmp_path, "unread.json", {**_EXPLICIT, "theorem": section})
+        assert main(["theorem", path]) == 3, section
+        assert json.loads(capsys.readouterr().out)["error"] == f"theorem: unknown key(s) [{key!r}]"
+    constant = {"space": {"type": "finite", "points": [1, 2, 3]}, "maps": {"T": {"constant": "1"}}}
+    section = {"id": "T2.1", "alpha": 0.123, "w": 7, "c": 9, "q": 3}
+    assert main(["theorem", write(tmp_path, "t21.json", {**constant, "theorem": section})]) == 3
+    assert json.loads(capsys.readouterr().out)["error"] == "theorem: unknown key(s) ['c', 'q', 'w']"
+    section = {"id": "T2.1", "alpha": 0.123}
+    assert main(["theorem", write(tmp_path, "t21.json", {**constant, "theorem": section})]) == 0
+    capsys.readouterr()
+    # A value its reader refuses is reported before the key is.
+    with pytest.raises(ValidationError, match=r"theorem\.w: must be a positive integer"):
+        parse_scenario_dict({**_EXPLICIT, "theorem": {"id": "T2.1", "w": -4}})
+    # Without an id the builtin's statement decides: koparde-demo's C3.31
+    # reads x0 but not w, although the catalog entry carries w = 2.
+    builtin = {"space": {"type": "builtin", "name": "koparde-demo"}}
+    assert parse_scenario_dict({**builtin, "theorem": {"x0": "1.00"}}).scenario.x0 == "1.00"
+    with pytest.raises(ValidationError, match=re.escape("theorem: unknown key(s) ['w']")):
+        parse_scenario_dict({**builtin, "theorem": {"w": 2}})
+
+
 def test_check_section_errors_come_in_their_order():
     # A key outside every condition is refused first, a missing sigma next;
     # a key the condition does not take only when nothing else is at fault.
@@ -750,6 +814,9 @@ def test_schema_accepts_what_the_parser_accepts():
             "maps": {"T": "identity"},
         },
     ]
+    for tid in THEOREM_IDS:
+        read = {key: value for key, value in _THEOREM_VALUES.items() if key in THEOREM_KEYS[tid]}
+        accepted.append({**_EXPLICIT, "theorem": {"id": tid, **read}})
     for doc in accepted:
         parse_scenario_dict(doc)
         assert validator.is_valid(doc), doc
@@ -759,6 +826,7 @@ def test_schema_accepts_what_the_parser_accepts():
         {**_EXPLICIT, "theorem": {"id": "T3.18", "c": 0}},
         *(doc for _, doc in BOOLEAN_INTEGERS + NON_STRING_CHOICES + NULL_POINTS),
         *({**_EXPLICIT, "check": section} for section, _ in UNTAKEN_KEYS),
+        *({**_EXPLICIT, "theorem": section} for section, _ in UNREAD_THEOREM_KEYS),
         {**_EXPLICIT, "check": {"condition": "malceski", "gamma": 0.1}},
     ]
     for doc in rejected:
