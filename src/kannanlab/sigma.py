@@ -11,11 +11,12 @@ an exhausted search budget yields ``UNDETERMINED``.
 Gallery members whose eval is s * phi(t / s) (gamma, beta, chi, tau,
 linear, and psi-phi, theta-pi and theta-l, which with the package's own
 handles are the linear(m) they equal) or phi(t / s) (the step functions)
-carry that profile.  Every axiom on their eval is decided from it in exact
-rationals: holds with the reduction's reason, or fails with the
-counterexample the search would report, built in closed form.  Either way
-no evaluation is spent.  Certificates remain only for theta-geraghty,
-which has no profile, and for the axioms on unary handles.
+are that profile: their float eval is derived from it, and every axiom on
+that eval is decided from it in exact rationals: holds with the
+reduction's reason, or fails with the counterexample the search would
+report, built in closed form.  Either way no evaluation is spent.
+Certificates remain only for theta-geraghty, which has no profile, and for
+the axioms on unary handles.
 
 Every other cell is searched.  Falsification searches walk structured
 sequence families (constants, geometric decays, harmonic approaches,
@@ -34,10 +35,11 @@ import itertools
 import random
 import sys
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import partial
+from numbers import Real
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 DEFAULT_BUDGET = 10_000
@@ -199,7 +201,10 @@ class ComparisonFn:
     the axioms on unary handles have them.  ``profile`` is the ratio profile
     of a gallery member whose eval depends on t / s alone (up to the factor
     s), with the package's own handles; its axioms on eval are decided from
-    it exactly instead of searched.  Any other function has none.
+    it exactly instead of searched.  Such a member's eval is derived from
+    its profile: the float form p * s - q * t (p, when unscaled) of the piece
+    that comparing t with s picks, and phi(1) * s at t = s only where phi
+    jumps at 1.  Any other function has no profile.
     """
 
     name: str
@@ -217,17 +222,28 @@ class ComparisonFn:
         return dict(self.handles).get(key)
 
 
-class _Ratio(NamedTuple):
+@dataclass(frozen=True)
+class _Ratio:
     """A ratio profile: on t, s > 0, eval(t, s) = s * phi(t / s) when
     ``scaled`` and phi(t / s) otherwise, where phi(r) = p - q * r for r < 1
     with ``below`` = (p, q), phi(1) = ``one``, and phi(r) = p - q * r for
-    r > 1 with ``above`` = (p, q).  Every coefficient is an exact rational.
+    r > 1 with ``above`` = (p, q).  Every coefficient is an exact rational;
+    an unscaled profile has q = 0 on both pieces.
+
+    It is hashed once, when built: a cached decision looks its profile up by
+    value, and ``Fraction.__hash__`` takes a modular inverse per coefficient.
     """
 
     scaled: bool
     below: tuple[Fraction, Fraction]
     one: Fraction
     above: tuple[Fraction, Fraction]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.scaled, self.below, self.one, self.above)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def phi(self, r: Fraction) -> Fraction:
         if r == 1:
@@ -257,6 +273,37 @@ class _Ratio(NamedTuple):
         return self.one <= 0 and (p < q or p == q <= 0) and (p2 < q2 or p2 == q2 >= 0)
 
 
+def _piece(scaled: bool, p: Fraction, q: Fraction) -> Callable[[float, float], float]:
+    """The float form of one piece: p * s - q * t, or the constant p where
+    it reads neither argument, that is unscaled (q = 0) or at p = q = 0, so
+    that no sign of a zero argument leaks into 0.  A unit q is not
+    multiplied: 1.0 * t is t bit for bit.  The coefficients are bound as
+    defaults, which a call reads faster than closure cells: a linear(m)
+    eval costs what a hand-written m * s - t does."""
+    a, b = float(p), float(q)
+    if not scaled or p == q == 0:
+        return lambda t, s, a=a: a
+    if q == 1:
+        return lambda t, s, a=a: a * s - t
+    return lambda t, s, a=a, b=b: a * s - b * t
+
+
+def _profile_eval(f: _Ratio) -> Callable[[float, float], float]:
+    """The eval of a profiled member, derived from its profile f: the float
+    form of the piece below 1 where t < s and of the piece above it where t
+    > s.  At t = s it is the piece below, whose value there is phi(1) * s
+    (phi(1), unscaled) unless phi jumps at 1; where it jumps, phi(1) * s
+    itself.  With equal pieces and no jump, as for every linear(m), that is
+    one affine form with no piece test."""
+    (p, q), scaled = f.below, f.scaled
+    below, jumps = _piece(scaled, p, q), f.one != p - q
+    if not jumps and f.above == f.below:
+        return below
+    above = _piece(scaled, *f.above)
+    at_one = _piece(scaled, f.one, 0) if jumps else below
+    return lambda t, s: below(t, s) if t < s else above(t, s) if t > s else at_one(t, s)
+
+
 # --------------------------------------------------------------------------
 # Gallery
 # --------------------------------------------------------------------------
@@ -279,148 +326,48 @@ def _identity_fn(t: float) -> float:
     return t
 
 
-def _make_linear(name: str, slope: float) -> ComparisonFn:
-    def evaluate(t: float, s: float, a: float = slope) -> float:
-        return a * s - t
-
-    m = Fraction(slope)
-    return ComparisonFn(
-        name=name,
-        eval=evaluate,
-        params=(("slope", slope),),
-        profile=_Ratio(True, (m, 1), m - 1, (m, 1)),
-    )
+def _linear(m: float) -> _Ratio:
+    """linear(m), m * s - t: phi(r) = m - r on both pieces."""
+    m = Fraction(m)
+    return _Ratio(True, (m, 1), m - 1, (m, 1))
 
 
-def _param(
-    params: dict, member: str, key: str, ok: Callable[[float], bool], requirement: str
-) -> float:
-    """Pop the member's one numeric parameter, reject any other, check its range."""
-    if key not in params:
-        raise MissingParam(f"{member} requires parameter {key!r}")
-    value = float(params.pop(key))
-    _reject_extras(member, params)
-    if not ok(value):
-        raise ParamOutOfRange(f"{member} requires {requirement}")
-    return value
+def _halved(alpha: float) -> _Ratio:
+    """alpha * h(s) - t with h(s) = s / 2 is linear(alpha / 2)."""
+    return _linear(_half(alpha))
 
 
-def gallery(name: str, **params) -> ComparisonFn:
-    """Construct a gallery member by name.
-
-    Step functions and the piecewise average need no parameters; the linear
-    families need ``alpha`` (or ``slope`` for the raw linear form); the
-    theta variants additionally accept a unary handle (``pi_fn``, ``g_fn``,
-    ``l_fn``) and psi-phi two (``psi_fn``, ``phi_fn``), each with a default.
-    A custom handle carries no certificate.
-    """
-    if name not in GALLERY_NAMES:
-        raise UnknownGallery(f"unknown gallery member {name!r}")
-    return _GALLERY_BUILDERS[name](dict(params))
-
-
-def _build_gamma(params: dict) -> ComparisonFn:
-    _reject_extras("gamma", params)
-
-    def evaluate(t: float, s: float) -> float:
-        return 0.5 * s - 1.5 * t if t < s else 0.0
-
-    return ComparisonFn(name="gamma", eval=evaluate, profile=_GAMMA_PROFILE)
-
-
-# phi(r) = 1/2 - 3r/2 below 1 and 0 from 1 on.
-_GAMMA_PROFILE = _Ratio(True, (Fraction(1, 2), Fraction(3, 2)), Fraction(0), (Fraction(0), Fraction(0)))
-
-
-def _fixed_slope(name: str, slope: float, params: dict) -> ComparisonFn:
-    """linear(slope) under the member's own name; it takes no parameter."""
-    _reject_extras(name, params)
-    return _make_linear(name, slope)
-
-
-def _make_step(
-    name: str, evaluate: Callable[[float, float], float], at_one: int, params: dict
-) -> ComparisonFn:
+def _step(at_one: int) -> _Ratio:
     """phi(r) = -1 below r = 1, ``at_one`` at 1 and +1 past it."""
-    _reject_extras(name, params)
-    return ComparisonFn(
-        name=name,
-        eval=evaluate,
-        profile=_Ratio(False, (Fraction(-1), Fraction(0)), Fraction(at_one), (Fraction(1), Fraction(0))),
-    )
+    return _Ratio(False, (Fraction(-1), Fraction(0)), Fraction(at_one), (Fraction(1), Fraction(0)))
 
 
-def _build_chi(params: dict) -> ComparisonFn:
-    alpha = _param(params, "chi", "alpha", lambda a: 0.0 < a < 0.5, "0 < alpha < 1/2")
-    return replace(_make_linear("chi", alpha), params=(("alpha", alpha),))
+def _open_alpha(a: float) -> str | None:
+    return None if 0.0 < a < 0.5 else "0 < alpha < 1/2"
 
 
-def _build_linear(params: dict) -> ComparisonFn:
-    slope = _param(params, "linear", "slope", lambda s: 0.0 < s < float("inf"), "finite slope > 0")
-    return _make_linear("linear", slope)
+def _halving_alpha(a: float) -> str | None:
+    # Only a halving slope reaches 0: from alpha = 5e-324, the least double.
+    return _open_alpha(a) or (None if _half(a) else f"alpha / 2 > 0; alpha={a!r} halves to 0")
 
 
-def _make_dominated(
-    name: str,
-    params: dict,
-    defaults: dict[str, Callable[[float], float]],
-    slope: Callable[[float], float] | None,
-    own: frozenset = frozenset(),
-    shape: Callable[..., Callable[[float, float], float]] = lambda a, h: lambda t, s: a * h(s) - t,
-    closed: bool = False,
-) -> ComparisonFn:
-    """A member with unary handles, each passed as ``<key>_fn`` or else its
-    entry of ``defaults``.  With a ``slope`` the member takes alpha in
-    (0, 1/2), or (0, 1/2] when ``closed``, its eval is ``shape(alpha,
-    *handles)`` and m = slope(alpha); without one it takes no alpha, its
-    eval is ``shape(*handles)`` and m = 1/2.
-
-    With the default handles the member is linear(m) under its own name,
-    with its own params and handles and the ``own`` (axiom, reason)
-    certificates of those handles: pi(s) = l(s) = s / 2 make alpha * pi(s)
-    - t and alpha * l(s) - t equal (alpha / 2) * s - t, and psi(s) - phi(t)
-    is s / 2 - t.  So it takes linear(m)'s eval and ratio profile, and its
-    axioms are decided from the profile.  A custom handle's contract is
-    unchecked: the member gets ``shape``'s eval, no certificate and no
-    profile, so every axiom is searched.
-    """
-    picked = {key: params.pop(f"{key}_fn", None) for key in defaults}
-    handles = tuple((key, defaults[key] if h is None else h) for key, h in picked.items())
-    if slope is None:
-        _reject_extras(name, params)
-        alpha, m = (), 0.5
-    else:
-        in_range = (lambda a: 0.0 < a <= 0.5) if closed else (lambda a: 0.0 < a < 0.5)
-        a = _param(params, name, "alpha", in_range, f"0 < alpha {'<=' if closed else '<'} 1/2")
-        alpha, m = (a,), slope(a)
-        # Only a halving slope reaches 0: from alpha = 5e-324, the least double.
-        if m == 0:
-            raise ParamOutOfRange(f"{name} requires alpha / 2 > 0; alpha={a!r} halves to 0")
-    if not all(callable(h) for _, h in handles):
-        raise ParamOutOfRange(" and ".join(f"{key}_fn" for key in defaults) + " must be callable")
-    named = tuple(("alpha", a) for a in alpha)
-    if any(h is not defaults[key] for key, h in handles):
-        return ComparisonFn(name, shape(*alpha, *(h for _, h in handles)), named, handles=handles)
-    return replace(_make_linear(name, m), params=named, analytic_certificates=own, handles=handles)
-
-
-def _build_theta_pi(params: dict) -> ComparisonFn:
-    return _make_dominated("theta-pi", params, {"pi": _half}, _half)
+def _scaled_handle(a: float, h: Callable[[float], float]) -> Callable[[float, float], float]:
+    return lambda t, s: a * h(s) - t
 
 
 def _geraghty(a: float, g: Callable[[float], float]) -> Callable[[float, float], float]:
     return lambda t, s: a * g(s) * s - t
 
 
-def _build_theta_geraghty(params: dict) -> ComparisonFn:
-    """alpha * g(s) * s - t for alpha in (0, 1/2], with g(t) = 1 / (1 + t)
-    and g(0) = 0 by default.  No function of t / s, so it has no ratio
-    profile, and its axioms are certified by hand.
+def _geraghty_certificates(alpha: float) -> tuple[frozenset, Interval]:
+    """theta-geraghty's certificates with its default g(t) = 1 / (1 + t),
+    g(0) = 0.  alpha * g(s) * s - t is no function of t / s, so it has no
+    ratio profile, and its axioms are certified by hand.
 
-    With the default g, 0 <= g < 1 makes f(t, s) = alpha * g(s) * s - t lie
-    below l(t, s) = alpha * s - t, which is linear(alpha), on [0, inf)^2.
-    If f <= l, f satisfies each axiom of linear(alpha) below, and
-    alpha <= 1/2 < 1 gives linear(alpha) all of them:
+    0 <= g < 1 makes f(t, s) = alpha * g(s) * s - t lie below l(t, s) =
+    alpha * s - t, which is linear(alpha), on [0, inf)^2.  If f <= l, f
+    satisfies each axiom of linear(alpha) below, and alpha <= 1/2 < 1 gives
+    linear(alpha) all of them:
     - upper bound: f(t, s) <= l(t, s) < s - t;
     - zeta3, eta2: the limsups of f and of (t + f) / s are at most l's;
     - $, rho1: positivity of f along a sequence is positivity of l, which
@@ -433,55 +380,125 @@ def _build_theta_geraghty(params: dict) -> ComparisonFn:
     L * (alpha * c * g(c * L) - 1) < 0, as g < 1.  A custom g gets no
     certificate.
     """
-    fn = _make_dominated(
-        "theta-geraghty", params, {"g": _reciprocal_decay}, _identity_fn, shape=_geraghty, closed=True
-    )
-    if fn.handle("g") is not _reciprocal_decay:
-        return fn
-    alpha = fn.param("alpha")
     kinds = (AxiomKind.DOLLAR, AxiomKind.UPPER_BOUND, AxiomKind.ZETA3, AxiomKind.ETA2,
              AxiomKind.RHO1, AxiomKind.RHO2)
     certs = dict.fromkeys(kinds, f"dominated by linear({alpha:.12g})")
     certs |= dict.fromkeys((AxiomKind.GERAGHTY, AxiomKind.SIGMA1), "g(t) = 1 / (1 + t), g(0) = 0")
-    return ComparisonFn(
-        fn.name, _geraghty(alpha, _reciprocal_decay), fn.params, frozenset(certs.items()),
-        Interval(0.0, 1.0 / alpha, hi_open=False), fn.handles,
-    )
+    return frozenset(certs.items()), Interval(0.0, 1.0 / alpha, hi_open=False)
 
 
-def _build_theta_l(params: dict) -> ComparisonFn:
-    own = frozenset({(AxiomKind.L_FUNCTION, "l(t) = t / 2 for t > 0, l(0) = 0")})
-    return _make_dominated("theta-l", params, {"l": _half_on_positive}, _half, own)
+class _Member(NamedTuple):
+    """One gallery member.
+
+    ``rule`` is its numeric parameter as (key, requirement), where
+    ``requirement(x)`` names what x fails, or is None; a member with a
+    ``fixed`` value takes no parameter but records that one under the key,
+    and a member without a rule takes none.  ``profile(*x)`` is its ratio
+    profile with its default handles, None for theta-geraghty.  ``defaults``
+    pairs each unary handle with its default, and ``shape(*x, *handles)`` is
+    the eval of custom handles.  ``own`` holds the (axiom, reason)
+    certificates of the default handles' own axioms.
+    """
+
+    rule: tuple[str, Callable[[float], str | None]] | None
+    profile: Callable[..., _Ratio] | None
+    defaults: tuple[tuple[str, Callable[[float], float]], ...] = ()
+    shape: Callable[..., Callable[[float, float], float]] | None = None
+    own: frozenset = frozenset()
+    fixed: float | None = None
 
 
-def _build_psi_phi(params: dict) -> ComparisonFn:
-    return _make_dominated(
-        "psi-phi", params, {"psi": _half, "phi": _identity_fn}, None,
-        shape=lambda psi, phi: lambda t, s: psi(s) - phi(t),
-    )
+_ALPHA = ("alpha", _open_alpha)
+_HALVING_ALPHA = ("alpha", _halving_alpha)
+_SLOPE = ("slope", lambda m: None if 0.0 < m < float("inf") else "finite slope > 0")
+_GALLERY = {
+    # phi(r) = 1/2 - 3r/2 below 1 and 0 from 1 on.
+    "gamma": _Member(None, partial(
+        _Ratio, True, (Fraction(1, 2), Fraction(3, 2)), Fraction(0), (Fraction(0), Fraction(0))
+    )),
+    "beta": _Member(_SLOPE, _linear, fixed=0.5),
+    "step-g": _Member(None, partial(_step, -1)),
+    "step-omega": _Member(None, partial(_step, 1)),
+    "chi": _Member(_ALPHA, _linear),
+    "theta-pi": _Member(_HALVING_ALPHA, _halved, (("pi", _half),), _scaled_handle),
+    "theta-geraghty": _Member(
+        ("alpha", lambda a: None if 0.0 < a <= 0.5 else "0 < alpha <= 1/2"), None,
+        (("g", _reciprocal_decay),), _geraghty,
+    ),
+    "theta-l": _Member(
+        _HALVING_ALPHA, _halved, (("l", _half_on_positive),), _scaled_handle,
+        frozenset({(AxiomKind.L_FUNCTION, "l(t) = t / 2 for t > 0, l(0) = 0")}),
+    ),
+    # Membership fails on the first axiom, but the limit-ratio axiom holds
+    # up to c = 3/2 in closed form.
+    "tau": _Member(_SLOPE, _linear, fixed=2.0 / 3.0),
+    "psi-phi": _Member(
+        None, partial(_linear, 0.5), (("psi", _half), ("phi", _identity_fn)),
+        lambda psi, phi: lambda t, s: psi(s) - phi(t),
+    ),
+    "linear": _Member(_SLOPE, _linear),
+}
+GALLERY_NAMES = tuple(_GALLERY)
+
+
+def gallery(name: str, **params) -> ComparisonFn:
+    """Construct a gallery member by name.
+
+    Step functions and the piecewise average need no parameters; the linear
+    families need ``alpha`` (or ``slope`` for the raw linear form), a real
+    number and not a ``bool``; the theta variants additionally accept a
+    unary handle (``pi_fn``, ``g_fn``, ``l_fn``) and psi-phi two (``psi_fn``,
+    ``phi_fn``), each with a default.
+
+    With the default handles a member is its ratio profile: theta-pi and
+    theta-l are linear(alpha / 2) and psi-phi linear(1/2) under their own
+    names, since pi(s) = l(s) = s / 2 and psi(s) - phi(t) = s / 2 - t, and
+    eval is derived from the profile.  theta-geraghty has none and carries
+    hand certificates instead.  A custom handle's contract is unchecked: the
+    member gets its shape's eval, no certificate and no profile, so every
+    axiom is searched.
+    """
+    if name not in _GALLERY:
+        raise UnknownGallery(f"unknown gallery member {name!r}")
+    rule, profile, defaults, shape, own, fixed = _GALLERY[name]
+    given = [params.pop(f"{key}_fn", None) for key, _ in defaults]
+    handles = tuple((key, d if h is None else h) for (key, d), h in zip(defaults, given))
+    args = _arguments(name, params, rule, fixed)
+    if not all(callable(h) for _, h in handles):
+        raise ParamOutOfRange(" and ".join(f"{key}_fn" for key, _ in defaults) + " must be callable")
+    named = ((rule[0], args[0]),) if args else ()
+    picked = tuple(h for _, h in handles)
+    if any(h is not d for h, (_, d) in zip(picked, defaults)):
+        return ComparisonFn(name, shape(*args, *picked), named, handles=handles)
+    if profile is None:
+        return ComparisonFn(name, shape(*args, *picked), named, *_geraghty_certificates(*args), handles)
+    ratio = profile(*args)
+    return ComparisonFn(name, _profile_eval(ratio), named, own, None, handles, ratio)
+
+
+def _arguments(member: str, params: dict, rule, fixed: float | None) -> tuple[float, ...]:
+    """The member's one numeric parameter, popped from ``params`` and
+    checked, or its fixed value, or none; any other parameter is refused."""
+    if rule is None or fixed is not None:
+        _reject_extras(member, params)
+        return () if rule is None else (fixed,)
+    key, requirement = rule
+    if key not in params:
+        raise MissingParam(f"{member} requires parameter {key!r}")
+    value = params.pop(key)
+    _reject_extras(member, params)
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ParamOutOfRange(f"{member} requires a real number {key}, not {value!r}")
+    value = float(value)
+    unmet = requirement(value)
+    if unmet is not None:
+        raise ParamOutOfRange(f"{member} requires {unmet}")
+    return (value,)
 
 
 def _reject_extras(member: str, params: dict) -> None:
     if params:
         raise ParamOutOfRange(f"{member} got unexpected parameter(s) {sorted(params)}")
-
-
-_GALLERY_BUILDERS = {
-    "gamma": _build_gamma,
-    "beta": partial(_fixed_slope, "beta", 0.5),
-    "step-g": partial(_make_step, "step-g", lambda t, s: -1.0 if t <= s else 1.0, -1),
-    "step-omega": partial(_make_step, "step-omega", lambda t, s: -1.0 if t < s else 1.0, 1),
-    "chi": _build_chi,
-    "theta-pi": _build_theta_pi,
-    "theta-geraghty": _build_theta_geraghty,
-    "theta-l": _build_theta_l,
-    # Membership fails on the first axiom, but the limit-ratio axiom holds
-    # up to c = 3/2 in closed form.
-    "tau": partial(_fixed_slope, "tau", 2.0 / 3.0),
-    "psi-phi": _build_psi_phi,
-    "linear": _build_linear,
-}
-GALLERY_NAMES = tuple(_GALLERY_BUILDERS)
 
 
 # --------------------------------------------------------------------------

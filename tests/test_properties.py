@@ -57,6 +57,7 @@ from kannanlab import builtins as catalog, metric, picard, theorems
 from kannanlab.report import solve_summary, witness_summary
 from kannanlab.sigma import DEFAULT_BUDGET, make_witness
 from kannanlab.theorems import THEOREM_IDS
+from eval_grid import GRID, PARAMETRISATIONS
 from scan_oracle import built, expected_space
 
 positive = st.floats(min_value=1e-6, max_value=100.0, allow_nan=False)
@@ -369,13 +370,55 @@ _POSITIVE = st.floats(0.0, 1e6, exclude_min=True, allow_subnormal=False)
 @example(fn=gallery("step-omega"), t=1.0, s=1.0)
 @settings(max_examples=300, deadline=None)
 def test_profiled_eval_has_the_sign_of_its_profile(fn, t, s):
-    # A profiled member defines its function twice, as a float eval and as
-    # an exact ratio profile; wherever the exact value clears float error,
-    # the two agree in sign.
+    # A profiled member's float eval is derived from its exact ratio
+    # profile; wherever the exact value clears float error, the two agree
+    # in sign.
     v = fn.profile.value(Fraction(t), Fraction(s))
     if abs(v) > Fraction(1, 2**40) * (Fraction(t) + Fraction(s)):
         value = fn.eval(t, s)
         assert (value > 0, value < 0) == (v > 0, v < 0), (fn.name, fn.params, t, s, value, v)
+
+
+#: The hand-written evals of the profiled members that are not linear(m)
+#: under their own name, as they read before eval was derived from the profile.
+_OLD_EVALS = {
+    "gamma": lambda t, s: 0.5 * s - 1.5 * t if t < s else 0.0,
+    "step-g": lambda t, s: -1.0 if t <= s else 1.0,
+    "step-omega": lambda t, s: -1.0 if t < s else 1.0,
+}
+_EVAL_MEMBERS = tuple(gallery(name, **params) for name, params in PARAMETRISATIONS)
+
+
+def _assert_old_eval_bits(fn: ComparisonFn, t: float, s: float) -> None:
+    old = _OLD_EVALS.get(fn.name)
+    if old is None:
+        m = _linear_slope(fn)
+        old = lambda t, s: m * s - t  # noqa: E731
+    assert fn.eval(t, s).hex() == old(t, s).hex(), (fn.name, fn.params, t, s)
+
+
+def test_derived_eval_is_bit_identical_to_the_old_evals_on_the_grid():
+    for fn in _EVAL_MEMBERS:
+        for t, s in GRID:
+            _assert_old_eval_bits(fn, t, s)
+
+
+_ANY = st.floats(min_value=-0.0, max_value=1e300)  # both zeros and subnormals
+
+
+@given(
+    fn=st.sampled_from(_EVAL_MEMBERS),
+    ts=st.one_of(
+        st.tuples(_ANY, _ANY),
+        _ANY.map(lambda x: (x, x)),
+        _ANY.map(lambda s: (s / 3.0, s)),  # gamma's sign change at t / s = 1/3
+    ),
+)
+@settings(max_examples=500, deadline=None)
+def test_derived_eval_is_bit_identical_to_the_old_evals(fn, ts):
+    # Exact arithmetic checks the derivation's sign above; this pins its
+    # float value, signed zeros included, to the evals it replaced.
+    _assert_old_eval_bits(fn, *ts)
 
 
 _LINEAR_MEMBERS = tuple(fn for fn in DEFAULT_MEMBERS if _linear_slope(fn) is not None)

@@ -54,6 +54,11 @@ def test_gallery_parameter_validation():
             gallery("linear", slope=slope)
     with pytest.raises(ParamOutOfRange):
         gallery("gamma", alpha=0.2)
+    # A parameter is a number: neither its text nor a bool is read as one.
+    for name, key, value in (("chi", "alpha", "0.3"), ("linear", "slope", True),
+                             ("theta-pi", "alpha", False), ("linear", "slope", "1")):
+        with pytest.raises(ParamOutOfRange, match="requires a real number"):
+            gallery(name, **{key: value})
     # The half-slope boundary is admissible for the Geraghty variant only.
     gallery("theta-geraghty", alpha=0.5)
 
@@ -281,6 +286,8 @@ def test_theta_pi_default_handle_halves_the_second_argument():
     # alpha * pi(s) - t with pi(s) = s/2
     assert abs(fn.eval(1.0, 10.0) - (0.4 * 5.0 - 1.0)) < 1e-15
     assert check_axiom(fn, AxiomKind.SIGMA1).outcome is Outcome.CERTIFIED_HOLDS
+    # A handle passed as None is the default one.
+    assert gallery("theta-pi", alpha=0.4, pi_fn=None).profile == fn.profile is not None
 
 
 def test_theta_members_inherit_the_certificates_of_linear_alpha():
