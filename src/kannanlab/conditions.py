@@ -13,8 +13,12 @@ The classical and squared forms, and the Kannan supremum, are monotone in
 the two terms, so a class that passes at its least term passes at each of
 its points (the weakest-member rule, see :meth:`Pairing.first_hit`): a
 sweep that holds costs one test per pair of classes, and only a row that
-fails against the class minima is searched pair by pair.  The sigma forms
-and malceski test every pair.
+fails against the class minima is searched pair by pair.  So are the sigma
+forms whose sigma's ratio profile rises with s (gamma and the linear
+family), and malceski is tested at the class level by the classical test
+with its alpha wherever every d(Sx, Sy) is a number in [0, inf) (see
+:func:`_pair_tests`).  The other sigma forms (the steps, theta-geraghty,
+custom handles and callables) test every pair.
 
 Pair skipping in the positive mode drops pairs whose image distance
 (raised to the configured degree where one applies) is zero within
@@ -162,10 +166,6 @@ _PAIRINGS = {
     ConditionKind.KOPARDE_WAGHMODE: ("T", "x", "T", 2),
 }
 
-#: The kinds whose pair test is monotone in the two terms (see
-#: :meth:`Pairing.first_hit`).
-_MONOTONE = (ConditionKind.CLASSICAL_KANNAN, ConditionKind.KOPARDE_WAGHMODE)
-
 
 def _picker(indices: Sequence[int]):
     """The function that takes a sequence to the tuple of its items at ``indices``."""
@@ -243,28 +243,36 @@ class Pairing:
         least = self.least
         return lambda a: hit(None, least[a], table[a], least) is not None
 
-    def first_hit(self, table: list[Sequence[float]], hit, weak: Callable[[int], bool] | None):
+    def first_hit(
+        self, table: list[Sequence[float]], hit, weak: Callable[[int], bool] | None, coarse=None
+    ):
         """``(i, found)`` for the first row i, in index order, where
         ``found = hit(i, terms[i], t_row(i), terms)`` is not None, or None.
 
         ``hit(i, e, row, terms)`` searches one row: the pairs with t
-        ``row[j]`` and terms ``e`` and ``terms[j]``.  Given ``weak``, ``hit``
-        must find a pair whenever it finds one with smaller terms and the
-        same t (it is monotone), and ``weak(a)`` must say whether class a
-        hits at its least term (:meth:`weakest`).  Then a row is searched
-        only if its class hits there and the row hits against the class
-        minima, ``hit(i, terms[i], table[a], least)``.  Each such test is
-        exact: a class's least term is a point's term, and by monotonicity
-        no point of a class that passes at the least terms can fail.
+        ``row[j]`` and terms ``e`` and ``terms[j]``.  Given ``weak``, the
+        class-level test ``coarse`` (``hit`` itself by default) must find a
+        pair wherever ``hit`` finds one, and whenever it finds one with
+        smaller terms and the same t (it is monotone); ``weak(a)`` must say
+        whether class a hits ``coarse`` at its least term (:meth:`weakest`).
+        Then a row is searched only if its class hits there and the row hits
+        ``coarse`` against the class minima, ``coarse(i, terms[i], table[a],
+        least)``.  Each such test is exact: a class's least term is a
+        point's term, and by monotonicity no point of a class that passes at
+        the least terms can fail.  So only without ``weak`` does ``hit`` see
+        each pair once, up to the one it finds: a sigma the rule decides is
+        evaluated at class pairs as well, and not at every checked pair.
 
         The classical and squared tests are monotone for alpha > 0: for
         non-negative terms fl(alpha * fl(e_x + e_y)) is non-decreasing in
         each term, because rounding is monotone, so if t <= alpha * s holds
         at the two least terms of classes (a, b) it holds at every pair of
         their points.  With a negative or NaN term each point is its own
-        class, where the tests are the row test itself.
+        class, where the class-level tests read each pair's own terms.  The
+        other kinds' class-level tests are those of :func:`_pair_tests`.
         """
         classes, terms, least = self.classes, self.terms, self.least
+        coarse = coarse or hit
         expand = _picker(classes)
         weak_at: dict[int, bool] = {}
         for i, a in enumerate(classes):
@@ -272,7 +280,7 @@ class Pairing:
             if weak is not None:
                 if a not in weak_at:
                     weak_at[a] = weak(a)
-                if not weak_at[a] or hit(i, terms[i], class_row, least) is None:
+                if not weak_at[a] or coarse(i, terms[i], class_row, least) is None:
                     continue
             found = hit(i, terms[i], expand(class_row), terms)
             if found is not None:
@@ -304,26 +312,42 @@ def pairing(
     return Pairing(space, terms, w, classes, tuple(index), tuple(counts), tuple(least))
 
 
-def _row_test(spec: ConditionSpec, p: Pairing, s_map: SelfMap | None, skip_tol: float):
-    """The pair test of ``spec`` along one row, as :meth:`Pairing.first_hit`
+def _pair_tests(spec: ConditionSpec, p: Pairing, s_of: Sequence[int], skip_tol: float):
+    """``(row_test, class_test)`` for ``spec``.
+
+    ``row_test`` is the pair test along one row, as :meth:`Pairing.first_hit`
     takes it: a function of (i, e, row, terms) that gives (j, value, required
     alpha) for the first j in index order whose pair is checked (t >
-    skip_tol) and fails, or None.  Only malceski reads i.
+    skip_tol) and fails, or None.  Only malceski reads i, and its u = d(Sx,
+    Sy) through S's assignment ``s_of``.
 
-    A sigma is evaluated only on checked pairs, up to the first failure."""
-    alpha, gamma = spec.alpha, spec.gamma
-    if spec.kind in _MONOTONE:
+    ``class_test`` stands for it at the class level under the weakest-member
+    rule of :meth:`Pairing.first_hit`, or is None where every pair is
+    searched.  A sigma it is None for is evaluated only on checked pairs, up
+    to the first failure.
 
-        def first_failure(i, ei, row, terms):
-            for j, t in enumerate(row):
-                if t > skip_tol and not t <= alpha * (ei + terms[j]):
-                    s = ei + terms[j]
-                    return j, alpha * s - t, _required_alpha(t, s)
-            return None
-
-    elif spec.kind is ConditionKind.MALCESKI:
+    - The classical and squared forms: their row test, monotone as
+      :meth:`Pairing.first_hit` shows.
+    - A sigma form whose sigma's profile rises with s
+      (:attr:`~kannanlab.sigma._Ratio.rises_with_s`): its row test.  For
+      non-negative terms fl(e_x + e_y) is non-decreasing in each term, and
+      for each t positivity of eval only grows with s, so a pair that fails
+      has a failing pair at any smaller terms and the same t.
+    - malceski: the classical row test with the same alpha, where every u
+      is a number in [0, inf) (:func:`_non_negative`).  Then fl(gamma * u)
+      >= 0 with gamma >= 0, so fl(fl(alpha * s) + fl(gamma * u)) >= fl(alpha
+      * s) by monotone rounding, and a pair that passes the classical test,
+      at the same alpha and skip, passes malceski's; the classical test is
+      monotone.  A negative u (a validated table's diagonal may hold one in
+      [-tol, 0)) or a NaN one breaks that, and 0 * inf is NaN, so such a
+      table is searched pair by pair.
+    """
+    kind, alpha, gamma = spec.kind, spec.alpha, spec.gamma
+    if kind in (ConditionKind.CLASSICAL_KANNAN, ConditionKind.KOPARDE_WAGHMODE):
+        test = _alpha_test(alpha, skip_tol)
+        return test, test
+    if kind is ConditionKind.MALCESKI:
         dist = p.space.dist
-        s_of = range(p.space.n) if s_map is None else s_map.assignment
 
         def first_failure(i, ei, row, terms):
             ds = dist[s_of[i]]
@@ -334,18 +358,41 @@ def _row_test(spec: ConditionSpec, p: Pairing, s_map: SelfMap | None, skip_tol: 
                         return j, rhs - t, None
             return None
 
-    else:
-        ev = spec.sigma.eval
+        return first_failure, _alpha_test(alpha, skip_tol) if _non_negative(p.space, s_of) else None
+    ev, profile = spec.sigma.eval, spec.sigma.profile
 
-        def first_failure(i, ei, row, terms):
-            for j, t in enumerate(row):
-                if t > skip_tol:
-                    value = ev(t, ei + terms[j])
-                    if not value > 0.0:
-                        return j, value, None
-            return None
+    def first_failure(i, ei, row, terms):
+        for j, t in enumerate(row):
+            if t > skip_tol:
+                value = ev(t, ei + terms[j])
+                if not value > 0.0:
+                    return j, value, None
+        return None
+
+    return first_failure, first_failure if profile is not None and profile.rises_with_s else None
+
+
+def _alpha_test(alpha: float, skip_tol: float):
+    """The classical row test, t <= alpha * s, as :func:`_pair_tests` gives it."""
+
+    def first_failure(i, ei, row, terms):
+        for j, t in enumerate(row):
+            if t > skip_tol and not t <= alpha * (ei + terms[j]):
+                s = ei + terms[j]
+                return j, alpha * s - t, _required_alpha(t, s)
+        return None
 
     return first_failure
+
+
+def _non_negative(space: FiniteMetricSpace, s_of: Sequence[int]) -> bool:
+    """Whether every u = d(a, b), a and b in S's image, is a number in [0,
+    inf), as far as whole rows tell: whether each image point's row is
+    (``FiniteMetricSpace._bounded_rows``).  On a validated table, whose
+    other distances are positive and finite, that is exact: every image
+    point's diagonal entry is >= 0."""
+    rows = space._bounded_rows
+    return len(rows) == space.n or all([a in rows for a in s_of])
 
 
 def check_condition(
@@ -370,9 +417,10 @@ def check_condition(
     skip_tol = tol if mode is PairMode.POSITIVE_PAIRS else -math.inf
     p = pairing(space, t_map, s_map, spec)
     table = p.table()
-    first_failure = _row_test(spec, p, s_map, skip_tol)
-    weak = p.weakest(table, first_failure) if spec.kind in _MONOTONE else None
-    found = p.first_hit(table, first_failure, weak)
+    s_of = range(space.n) if s_map is None else s_map.assignment
+    first_failure, coarse = _pair_tests(spec, p, s_of, skip_tol)
+    weak = None if coarse is None else p.weakest(table, coarse)
+    found = p.first_hit(table, first_failure, weak, coarse)
     witness: PairWitness | None = None
     if found is not None:
         i, (j, value, required) = found

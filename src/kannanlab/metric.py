@@ -9,6 +9,7 @@ after construction, so they are safe to share freely.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from bisect import bisect_left, bisect_right
@@ -261,6 +262,17 @@ class FiniteMetricSpace:
 
     def diameter(self) -> float:
         return max((max(row) for row in self.dist), default=0.0)
+
+    @functools.cached_property
+    def _bounded_rows(self) -> frozenset[int]:
+        """The points whose every distance is a number in [0, inf), decided
+        exactly, once per space.  A row's min is exact only without NaN,
+        which its sum catches: the sum of a row holding a NaN or +inf is not
+        below inf.  A row of finite entries whose sum overflows is left out
+        too, as a caller may only lose speed by it."""
+        return frozenset(
+            i for i, row in enumerate(self.dist) if min(row) >= 0.0 and sum(row) < math.inf
+        )
 
     def violations(self) -> list[MetricViolation]:
         """Re-assert the metric axioms post hoc (empty list when valid)."""

@@ -272,6 +272,40 @@ class _Ratio:
         (p, q), (p2, q2) = self.below, self.above
         return self.one <= 0 and (p < q or p == q <= 0) and (p2 < q2 or p2 == q2 >= 0)
 
+    @functools.cached_property
+    def rises_with_s(self) -> bool:
+        """Whether, for each t, the derived eval (:func:`_profile_eval`) can
+        only turn positive as s grows: eval(t, s1) > 0 and s1 <= s2 give
+        eval(t, s2) > 0, for any float t and s1, s2 in [0, inf] or -0.0.
+        It does when each piece that can be positive is constant or p * s -
+        q * t with float(p) > 0, and the piece above 1, and phi(1) where phi
+        jumps, never are; or when eval is one such piece.  Of the gallery,
+        gamma and every linear(m) do, the steps do not.
+
+        Rounding is monotone, so for a = float(p) > 0, fl(a * s) does not
+        decrease with s (-0.0 and 0.0 give values that compare equal), and
+        neither does fl(x - y) with x; a positive value at s1 has y = fl(q *
+        t) below +inf, so it stays positive at s2.  A constant does not read
+        s.  For a NaN t every comparison is false, so eval is the piece at
+        one for every s, and a form reads NaN there.  Otherwise eval(t, s1)
+        > 0 comes from the piece below, with t < s1, or t = s1 and no jump:
+        then t <= s2, and eval(t, s2) is that piece's.  Where t > s >= 0,
+        the piece above, a constant a <= 0 or a form with 0 <= q and p <= q,
+        is never positive: fl(a * s) <= fl(b * s) <= fl(b * t) for a <= b
+        and b >= 0 (a NaN where b = 0 and t = inf).  The jump's piece at t =
+        s >= 0 is phi(1) * s or phi(1), never positive for phi(1) <= 0.
+        """
+        (p, q), (p2, q2), scaled = self.below, self.above, self.scaled
+
+        def rises(p, q):
+            return not scaled or p == q == 0 or float(p) > 0
+
+        jumps = self.one != p - q
+        if not jumps and self.above == self.below:
+            return rises(p, q)
+        never_above = p2 <= 0 if not scaled or p2 == q2 == 0 else 0 <= q2 and p2 <= q2
+        return rises(p, q) and never_above and (not jumps or self.one <= 0)
+
 
 def _piece(scaled: bool, p: Fraction, q: Fraction) -> Callable[[float, float], float]:
     """The float form of one piece: p * s - q * t, or the constant p where
@@ -489,7 +523,10 @@ def _arguments(member: str, params: dict, rule, fixed: float | None) -> tuple[fl
     _reject_extras(member, params)
     if isinstance(value, bool) or not isinstance(value, Real):
         raise ParamOutOfRange(f"{member} requires a real number {key}, not {value!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an int or Fraction beyond the double range
+        value = float("inf") if value > 0 else float("-inf")
     unmet = requirement(value)
     if unmet is not None:
         raise ParamOutOfRange(f"{member} requires {unmet}")

@@ -653,9 +653,17 @@ def _sweep_space(shape, n, seed):
         return space_from_values([0.0, 5e-10, 1.0])
     if shape == "at-tolerance":  # a distance equal to the skip threshold
         return space_from_values([0.0, DEFAULT_TOL, 1.0])
-    space = random_space(n, random.Random(seed))
-    if shape == "random":
+    rng = random.Random(seed)
+    space = random_space(n, rng)
+    if shape in ("random", "unvalidated"):
         return space
+    if shape == "negative-diagonal":
+        # Validation allows a diagonal entry in [-tol, 0): a u = d(Sx, Sx)
+        # below 0, which malceski's class-level test must not pass over.
+        table = [list(row) for row in space.dist]
+        for i in rng.sample(range(n), rng.randint(1, n)):
+            table[i][i] = -DEFAULT_TOL * (1.0 - rng.random())
+        return build_finite_space(space.labels, table)
     # Symmetric only within tolerance, so the argument order of each
     # distance shows in the last bits.
     table = [
@@ -668,11 +676,14 @@ def _sweep_space(shape, n, seed):
 @given(
     seed=st.integers(min_value=0, max_value=10_000),
     n=st.sampled_from([*range(1, 9), 20, 30, 40, 60]),
-    shape=st.sampled_from(["random", "asymmetric", "sub-tolerance", "at-tolerance"]),
+    shape=st.sampled_from([
+        "random", "asymmetric", "sub-tolerance", "at-tolerance", "negative-diagonal",
+        "unvalidated",
+    ]),
     image_size=st.sampled_from([None, 1, 2, "third"]),
     data=st.data(),
 )
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=220, deadline=None)
 def test_condition_sweeps_match_the_per_pair_restatement(seed, n, shape, image_size, data):
     space = _sweep_space(shape, n, seed)
     n = space.n
@@ -685,6 +696,8 @@ def test_condition_sweeps_match_the_per_pair_restatement(seed, n, shape, image_s
         point = st.sampled_from(image)
     t_map = SelfMap(space, tuple(data.draw(st.lists(point, min_size=n, max_size=n), label="T")))
     s_map = SelfMap(space, tuple(data.draw(st.lists(point, min_size=n, max_size=n), label="S")))
+    if shape == "unvalidated":
+        space, t_map, s_map = _with_odd_entries(space, t_map, s_map, random.Random(seed))
     sigma = data.draw(st.sampled_from(SWEEP_SIGMAS), label="sigma")
     alpha = data.draw(st.sampled_from([0.05, 0.2, 0.3]), label="alpha")
     specs = (
@@ -699,8 +712,57 @@ def test_condition_sweeps_match_the_per_pair_restatement(seed, n, shape, image_s
         for mode in PairMode:
             for s in (s_map, None):
                 expected = _reference_sweep(space, t_map, s, spec, mode)
-                assert check_condition(space, t_map, s, spec, mode) == expected, (spec, mode)
-    assert kannan_supremum(space, t_map) == _reference_supremum(space, t_map)
+                # NaN != NaN, so the reports are compared as text.
+                got = check_condition(space, t_map, s, spec, mode)
+                assert repr(got) == repr(expected), (spec, mode)
+    assert repr(kannan_supremum(space, t_map)) == repr(_reference_supremum(space, t_map))
+
+
+#: Entries a table built without validation may hold.
+ODD_ENTRIES = (math.nan, math.inf, -math.inf, -0.25, -5e-324, 5e-324, 1e-310, -0.0)
+
+
+def _with_odd_entries(space, t_map, s_map, rng):
+    """``space``'s table built directly, with some entries from
+    ``ODD_ENTRIES``, and the two maps on it.  The entries go off the image
+    distances t of every kind (those within T's image and within ST's): the
+    restatement checks a pair whose t is NaN or -inf in the all-pairs mode,
+    where the sweep does not.  So they land on per-point terms and on the u
+    = d(Sx, Sy) of malceski."""
+    n, t_of, s_of = space.n, t_map.assignment, s_map.assignment
+    images = (set(t_of), {s_of[v] for v in t_of})
+    free = [
+        (a, b) for a in range(n) for b in range(n)
+        if not any(a in image and b in image for image in images)
+    ]
+    dist = [list(row) for row in space.dist]
+    for a, b in rng.sample(free, rng.randint(0, min(len(free), n))):
+        dist[a][b] = rng.choice(ODD_ENTRIES)
+    space = FiniteMetricSpace(space.labels, tuple(map(tuple, dist)))
+    return space, SelfMap(space, t_of), SelfMap(space, s_of)
+
+
+def test_malceski_is_not_passed_at_the_class_level_over_a_negative_u():
+    # A validated table whose diagonal holds -5e-10 at five points, so u =
+    # d(Sx, Sy) < 0 wherever Sx = Sy.  At (0, 4), t = alpha * s = 1 passes
+    # the classical test, but u = d(4, 4) makes malceski fail by 7.5e-11.
+    # A class-level classical test standing for malceski over a negative u
+    # would pass row 0 over and report (1, 2).
+    z = -5e-10
+    space = build_finite_space([str(i) for i in range(6)], [
+        [z, 1.5, 1.25, 1.5, 1.0, 2.0],
+        [1.5, z, 2.0, 1.5, 1.5, 1.0],
+        [1.25, 2.0, z, 1.5, 1.25, 1.0],
+        [1.5, 1.5, 1.5, 0.0, 1.25, 1.5],
+        [1.0, 1.5, 1.25, 1.25, z, 1.0],
+        [2.0, 1.0, 1.0, 1.5, 1.0, z],
+    ])
+    s_map, t_map = SelfMap(space, (4, 1, 1, 1, 4, 5)), SelfMap(space, (1, 1, 5, 5, 5, 2))
+    spec = malceski(0.4, 0.15)
+    for mode in PairMode:
+        report = check_condition(space, t_map, s_map, spec, mode)
+        assert (report.witness.x, report.witness.y) == ("0", "4"), mode
+        assert report == _reference_sweep(space, t_map, s_map, spec, mode)
 
 
 def _sweep_specs(alpha, sigma, w, gamma):

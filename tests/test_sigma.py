@@ -1,4 +1,9 @@
+import itertools
+import math
+import re
+import sys
 import warnings
+from fractions import Fraction
 
 import pytest
 
@@ -15,6 +20,7 @@ from kannanlab import (
     gallery,
     replay_witness,
 )
+from kannanlab.sigma import _profile_eval, _Ratio
 
 
 def test_eval_spot_values():
@@ -61,6 +67,18 @@ def test_gallery_parameter_validation():
             gallery(name, **{key: value})
     # The half-slope boundary is admissible for the Geraghty variant only.
     gallery("theta-geraghty", alpha=0.5)
+
+
+@pytest.mark.parametrize("value", [10**400, -(10**400), Fraction(10**400, 3)])
+@pytest.mark.parametrize(
+    "name, key, message",
+    [("linear", "slope", "finite slope > 0"), ("chi", "alpha", "0 < alpha < 1/2"),
+     ("theta-pi", "alpha", "0 < alpha < 1/2"), ("theta-geraghty", "alpha", "0 < alpha <= 1/2")],
+)
+def test_a_parameter_beyond_the_double_range_is_out_of_range(value, name, key, message):
+    # float() of such a number overflows; it is refused as its infinity is.
+    with pytest.raises(ParamOutOfRange, match=f"^{name} requires {re.escape(message)}$"):
+        gallery(name, **{key: value})
 
 
 @pytest.mark.parametrize("name", ["theta-pi", "theta-l"])
@@ -338,3 +356,69 @@ def test_certified_details_name_their_own_reason():
     assert "consecutive-sum" not in check_axiom(chi, AxiomKind.UPPER_BOUND).detail
     for kind in (AxiomKind.SIGMA1, AxiomKind.DOLLAR, AxiomKind.L_FUNCTION):
         assert check_axiom(gallery("theta-l", alpha=0.3), kind).detail
+
+
+#: The two-piece profile grid: p, q in {-2, -1, -1/2, 0, 1/2, 1, 2} on each
+#: piece, phi(1) in {-1, 0, 1}, scaled or not (14,406 profiles).
+_COEFFICIENTS = tuple(Fraction(k, 2) for k in (-4, -2, -1, 0, 1, 2, 4))
+_PROFILE_GRID = tuple(
+    _Ratio(scaled, (p, q), one, (p2, q2))
+    for scaled in (True, False)
+    for p, q, p2, q2 in itertools.product(_COEFFICIENTS, repeat=4)
+    for one in (Fraction(-1), Fraction(0), Fraction(1))
+)
+_BIG = sys.float_info.max
+#: s as a sum of terms >= 0 reads it: both signed zeros, in both orders,
+#: subnormals, values whose ratios to t are 1/2, 1 and 2, and the overflow
+#: threshold.  t is any float.
+_S_GRID = (-0.0, 0.0, -0.0, 5e-324, 1e-310, 0.5, 1.0, 2.0, 3.0, 1e300, _BIG / 2, _BIG, math.inf)
+_T_GRID = (math.nan, -math.inf, -_BIG, -1.0, -5e-324, *_S_GRID)
+
+
+def _rises_on_the_grid(eval_fn) -> bool:
+    """Whether, for each t of the grid, eval(t, s) > 0 is upward-closed
+    along the ascending s of the grid."""
+    for t in _T_GRID:
+        positive = [eval_fn(t, s) > 0.0 for s in _S_GRID]
+        if any(p and not q for p, q in zip(positive, positive[1:])):
+            return False
+    return True
+
+
+def test_a_profile_that_rises_with_s_has_an_eval_that_rises_with_s_on_the_grid():
+    # Every profile of the grid the rule accepts is checked on all 234 (t, s)
+    # points: about 6,000 profiles, 1.4 M evaluations, a few seconds.
+    accepted = refused_and_falling = 0
+    for f in _PROFILE_GRID:
+        rises = _rises_on_the_grid(_profile_eval(f))
+        if f.rises_with_s:
+            assert rises, f
+            accepted += 1
+        else:
+            refused_and_falling += not rises
+    # The rule is not vacuous, and the grid can tell a falling eval.
+    assert accepted > 1_000 and refused_and_falling > 1_000
+
+
+def test_the_rule_accepts_gamma_and_the_linear_family_only():
+    accepted = {
+        "gamma": gallery("gamma"),
+        "beta": gallery("beta"),
+        "chi": gallery("chi", alpha=0.4),
+        "tau": gallery("tau"),
+        "theta-pi": gallery("theta-pi", alpha=0.3),
+        "theta-l": gallery("theta-l", alpha=0.3),
+        "psi-phi": gallery("psi-phi"),
+        "linear": gallery("linear", slope=1.5),
+    }
+    for name, fn in accepted.items():
+        assert fn.profile.rises_with_s, name
+    for name in ("step-g", "step-omega"):
+        assert not gallery(name).profile.rises_with_s, name
+    # No profile: theta-geraghty, and any member with a custom handle.
+    refused = (
+        gallery("theta-geraghty", alpha=0.4),
+        gallery("theta-pi", alpha=0.3, pi_fn=lambda s: s / 2),
+        gallery("psi-phi", psi_fn=lambda s: s / 2),
+    )
+    assert all(fn.profile is None for fn in refused)
