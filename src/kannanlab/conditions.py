@@ -4,8 +4,12 @@ Every condition sees a pair (x, y) only through its two images, which give
 t = d(ax, ay)^w, and its two per-point terms e(x), e(y), which give
 s = e(x) + e(y).  So a sweep works on image classes: a class is one
 distinct image with its multiplicity and its least term.  t is computed
-once per pair of classes, and the checked pairs are counted from that
-table, apart from the search.
+at most once per pair of classes, and at w = 1 a row of classes only when
+the sweep first reads it (see :meth:`Pairing.table`), so a sweep that
+fails in its first row builds one row.  The checked pairs are counted
+from the space's least distance and the images' multiplicities where the
+space recorded that distance (see :meth:`Pairing.checked`), and otherwise
+from the table, apart from the search.
 
 The search goes a row at a time, in index order, and stops at the first
 failing pair, so the violation reported is the lexicographically first.
@@ -31,7 +35,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from numbers import Real
@@ -174,6 +178,18 @@ def _picker(indices: Sequence[int]):
     return lambda seq: tuple(seq[i] for i in indices)
 
 
+class _Rows(dict):
+    """Rows of t by class, each built by ``row(a)`` when first read."""
+
+    def __init__(self, row: Callable[[int], Sequence[float]]):
+        super().__init__()
+        self.row = row
+
+    def __missing__(self, a: int) -> Sequence[float]:
+        row = self[a] = self.row(a)
+        return row
+
+
 class PowerOverflow(ValueError):
     """A distance raised to the condition's degree w is beyond the double range."""
 
@@ -211,11 +227,17 @@ class Pairing:
     counts: tuple[int, ...]
     least: tuple[float, ...]
 
-    def table(self) -> list[Sequence[float]]:
-        """t of every pair of classes, row a holding the pairs (a, b) in
-        class order: k^2 values for k classes."""
-        pick, dist, w = _picker(self.heads), self.space.dist, self.w
-        return [_powered(pick(dist[h]), w) for h in self.heads]
+    def table(self) -> Mapping[int, Sequence[float]]:
+        """t of the pairs of classes: row a holds the pairs (a, b) in class
+        order.  At w = 1 a row is one pick from its head's row of the
+        space, built when first read, so a sweep pays only for the rows it
+        reads.  At w >= 2 every row is powered here, so that a power beyond
+        the double range raises :class:`PowerOverflow` whatever the sweep
+        reads."""
+        pick, dist, heads, w = _picker(self.heads), self.space.dist, self.heads, self.w
+        if w == 1:
+            return _Rows(lambda a: pick(dist[heads[a]]))
+        return dict(enumerate([_powered(pick(dist[h]), w) for h in heads]))
 
     def t_row(self, i: int) -> list[float]:
         """t of the pairs (i, j), j in index order."""
@@ -225,18 +247,45 @@ class Pairing:
     def pair(self, i: int, j: int) -> tuple[float, float]:
         return self.t_row(i)[j], self.terms[i] + self.terms[j]
 
-    def checked(self, table: list[Sequence[float]], skip_tol: float) -> int:
-        """How many ordered pairs have t > skip_tol (a NaN t does not): each
-        class pair (a, b) of ``table`` counts k_a * k_b times.  The pairs
-        left out are few, so they are the ones counted."""
-        counts = self.counts
-        skipped = sum(
-            ka * sum([kb for t, kb in zip(row, counts) if not t > skip_tol])
-            for row, ka in zip(table, counts)
-        )
-        return len(self.terms) ** 2 - skipped
+    def checked(self, table: Mapping[int, Sequence[float]], skip_tol: float) -> int:
+        """How many ordered pairs have t > skip_tol (a NaN t does not).
 
-    def weakest(self, table: list[Sequence[float]], hit) -> Callable[[int], bool]:
+        Where the space recorded its least distance off the diagonal (a
+        table that its constructor validated or proved, so every entry is
+        finite and every entry off the diagonal is at least that distance),
+        two cases are counted without reading ``table``, exactly:
+
+        - skip_tol = -inf (all pairs): every t is a finite double d^w (a
+          power beyond the double range raised when ``table`` was built),
+          so every t > -inf, and all n^2 pairs are checked.
+        - w = 1 and the least distance > skip_tol: a pair (x, y) has t =
+          d(h, g) with h = ax and g = ay.  Where h != g, t is at least the
+          least distance, so it is checked.  Where h = g, t = d(h, h), and
+          the m_h^2 pairs whose two images are h, m_h points mapping to h,
+          are checked exactly when d(h, h) > skip_tol.  m_h is summed over
+          the classes whose head is h: where each point is its own class,
+          two classes can share one head.
+
+        Otherwise each class pair (a, b) of ``table`` counts k_a * k_b
+        times.  The pairs left out are few, so they are the ones counted.
+        """
+        n, counts, space = len(self.terms), self.counts, self.space
+        least = space._least_distance
+        if least is not None and skip_tol == -math.inf:
+            return n * n
+        if least is not None and self.w == 1 and least > skip_tol:
+            images: dict[int, int] = {}
+            for h, m in zip(self.heads, counts):
+                images[h] = images.get(h, 0) + m
+            dist = space.dist
+            return n * n - sum([m * m for h, m in images.items() if not dist[h][h] > skip_tol])
+        skipped = sum(
+            ka * sum([kb for t, kb in zip(table[a], counts) if not t > skip_tol])
+            for a, ka in enumerate(counts)
+        )
+        return n * n - skipped
+
+    def weakest(self, table: Mapping[int, Sequence[float]], hit) -> Callable[[int], bool]:
         """The weakest-member test of ``hit``: whether class a hits at its
         least term, ``hit(None, least[a], table[a], least)`` (see
         :meth:`first_hit`)."""
@@ -244,7 +293,11 @@ class Pairing:
         return lambda a: hit(None, least[a], table[a], least) is not None
 
     def first_hit(
-        self, table: list[Sequence[float]], hit, weak: Callable[[int], bool] | None, coarse=None
+        self,
+        table: Mapping[int, Sequence[float]],
+        hit,
+        weak: Callable[[int], bool] | None,
+        coarse=None,
     ):
         """``(i, found)`` for the first row i, in index order, where
         ``found = hit(i, terms[i], t_row(i), terms)`` is not None, or None.
@@ -295,8 +348,10 @@ def pairing(
     require_same_space(space, t_map, s_map)
     n, dist, t_of = space.n, space.dist, t_map.assignment
     s_of = range(n) if s_map is None else s_map.assignment
-    maps = {"x": range(n), "T": t_of, "S": s_of, "ST": tuple(s_of[v] for v in t_of)}
+    maps = {"x": range(n), "T": t_of, "S": s_of}
     image, left, right, w = _PAIRINGS[spec.kind]
+    if "ST" in (image, left, right):
+        maps["ST"] = tuple([s_of[v] for v in t_of])
     w = w or spec.w or 1
     terms = tuple(_powered([dist[a][b] for a, b in zip(maps[left], maps[right])], w))
     image = maps[image]
@@ -483,8 +538,8 @@ def kannan_supremum(space: FiniteMetricSpace, t_map: SelfMap) -> KannanSupremum:
     p = pairing(space, t_map, None, ConditionSpec(ConditionKind.CLASSICAL_KANNAN))
     table, least, labels = p.table(), p.least, space.labels
     row_best = [
-        max([r for r in _ratios(least[a], row, least) if r > 0.0], default=0.0)
-        for a, row in enumerate(table)
+        max([r for r in _ratios(e, table[a], least) if r > 0.0], default=0.0)
+        for a, e in enumerate(least)
     ]
     best = max(row_best, default=0.0)
     if best == math.inf:

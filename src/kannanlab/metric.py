@@ -16,8 +16,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from heapq import nsmallest
-from itertools import count, islice
-from operator import itemgetter
+from itertools import chain, count, islice
+from operator import itemgetter, sub
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 DEFAULT_TOL = 1e-9
@@ -90,7 +90,7 @@ def find_violations(
     indices lexicographic within each kind), so the first entry of the
     returned list is a deterministic witness.  ``tol`` must be >= 0.
     """
-    pairs, failures = _scan(dist, tol)
+    pairs, failures, _ = _scan(dist, tol)
     return [MetricViolation(*found) for found in pairs] + [
         _triangle_violation(dist, *triple) for triple in sorted(failures)
     ]
@@ -101,10 +101,12 @@ _Found = tuple[ViolationKind, tuple[int, ...], tuple[float, ...]]
 
 def _scan(
     dist: Sequence[Sequence[float]], tol: float
-) -> tuple[Iterator[_Found], Iterator[tuple[int, int, int]]]:
+) -> tuple[Iterator[_Found], Iterator[tuple[int, int, int]], float]:
     """The violations of :func:`find_violations`: those of the diagonal,
     symmetry and positivity one at a time in its order, as ``(kind, indices,
-    values)`` tuples, and the failing triples (i, j, k) in no order."""
+    values)`` tuples, and the failing triples (i, j, k) in no order; and the
+    least entry off the diagonal (inf for fewer than two points), exact on a
+    table without NaN."""
     if tol < 0:
         raise ValueError("tol must be >= 0")
     n = len(dist)
@@ -114,13 +116,26 @@ def _scan(
     # Tuple comparison holds an object equal to itself: the same NaN object at
     # (i, j) and (j, i) counts as symmetric, as _triangle_failures allows.
     symmetric = columns == list(map(tuple, dist))
-    return _pair_scan(dist, tol, symmetric), _triangle_failures(
-        dist, dist if symmetric else columns, tol
+    # The entries above the diagonal, and below it unless the table is
+    # exactly symmetric, where they are the same values.
+    halves = [row[i + 1 :] for i, row in enumerate(dist)]
+    if not symmetric:
+        halves += [column[i + 1 :] for i, column in enumerate(columns)]
+    # min keeps a leading NaN and skips any later one, so least > 0 says
+    # that no number off the diagonal is <= 0.
+    least = min(chain.from_iterable(halves), default=math.inf)
+    return (
+        _pair_scan(dist, tol, symmetric, least > 0.0),
+        _triangle_failures(dist, dist if symmetric else columns, tol),
+        least,
     )
 
 
-def _pair_scan(dist: Sequence[Sequence[float]], tol: float, symmetric: bool) -> Iterator[_Found]:
-    """The diagonal, symmetry and positivity violations of :func:`_scan`."""
+def _pair_scan(
+    dist: Sequence[Sequence[float]], tol: float, symmetric: bool, positive: bool
+) -> Iterator[_Found]:
+    """The diagonal, symmetry and positivity violations of :func:`_scan`;
+    ``positive`` says that no entry off the diagonal is <= 0."""
     n = len(dist)
     for i in range(n):
         if abs(dist[i][i]) > tol:
@@ -133,7 +148,7 @@ def _pair_scan(dist: Sequence[Sequence[float]], tol: float, symmetric: bool) -> 
                     yield ViolationKind.ASYMMETRY, (i, j), (dist[i][j], dist[j][i])
     # Positivity is strict: spaces may carry genuinely tiny distances
     # (reciprocal-power points), so no tolerance is applied here.
-    for i in range(n):
+    for i in range(0 if positive else n):
         for j in range(i + 1, n):
             if dist[i][j] <= 0.0 or dist[j][i] <= 0.0:
                 yield ViolationKind.INDISCERNIBLE_PAIR, (i, j), (dist[i][j], dist[j][i])
@@ -230,11 +245,19 @@ def _row_set_hits(
 
 @dataclass(frozen=True)
 class FiniteMetricSpace:
-    """A validated finite metric space: named points plus a distance table."""
+    """A validated finite metric space: named points plus a distance table.
+
+    ``_least_distance`` is the least entry off the diagonal (inf for fewer
+    than two points) where a constructor that validates or proves the table
+    recorded it from work it does anyway: :func:`build_finite_space`,
+    :func:`space_from_values` and :func:`random_space`.  A space built
+    directly records None, since its table may hold anything.
+    """
 
     labels: tuple[str, ...]
     dist: tuple[tuple[float, ...], ...]
     tol: float = DEFAULT_TOL
+    _least_distance = None
 
     def __post_init__(self):
         object.__setattr__(
@@ -279,6 +302,12 @@ class FiniteMetricSpace:
         return find_violations(self.dist, self.tol)
 
 
+def _recorded(space: FiniteMetricSpace, least: float) -> FiniteMetricSpace:
+    """``space`` with ``least``, its least entry off the diagonal, recorded."""
+    object.__setattr__(space, "_least_distance", least)
+    return space
+
+
 def build_finite_space(
     labels: Sequence, dist: Sequence[Sequence[float]], tol: float = DEFAULT_TOL
 ) -> FiniteMetricSpace:
@@ -303,7 +332,7 @@ def build_finite_space(
     table = tuple(tuple(map(float, row)) for row in dist)
     if not all(all(map(math.isfinite, row)) for row in table):
         raise ValueError("distances must be finite")
-    pairs, failures = _scan(table, tol)
+    pairs, failures, nearest = _scan(table, tol)
     kept = [MetricViolation(*found) for found in islice(pairs, _VIOLATIONS_KEPT)]
     total = len(kept) + sum(1 for _ in pairs)
     # The least triples come first in scan order.  nsmallest draws every
@@ -315,7 +344,7 @@ def build_finite_space(
     total += next(drawn) + sum(1 for _ in failures)
     if kept:
         raise MetricInvalid(kept, total)
-    return FiniteMetricSpace(names, table, tol)
+    return _recorded(FiniteMetricSpace(names, table, tol), nearest)
 
 
 def space_from_values(
@@ -326,8 +355,9 @@ def space_from_values(
     """Build a space of real numbers under the absolute-difference metric.
 
     When :func:`_abs_diff_is_metric` proves the table valid, the space is
-    built without the O(n^3) scan; otherwise :func:`build_finite_space`
-    validates it, with the same result and the same exceptions.
+    built without the O(n^3) scan, with the least distance it found;
+    otherwise :func:`build_finite_space` validates it, with the same result
+    and the same exceptions.
     """
     vals = [float(v) for v in values]
     if labels is None:
@@ -339,13 +369,23 @@ def space_from_values(
         # reuses column i of the rows above it: one float object per pair.
         rows.append(tuple([row[i] for row in rows] + [abs(a - b) for b in vals[i:]]))
     table = tuple(rows)
-    if len(set(names)) == len(names) == len(vals) and _abs_diff_is_metric(vals, tol):
-        return FiniteMetricSpace(names, table, tol)
+    if len(set(names)) == len(names) == len(vals):
+        least = _abs_diff_is_metric(vals, tol)
+        if least is not None:
+            return _recorded(FiniteMetricSpace(names, table, tol), least)
     return build_finite_space(names, table, tol)
 
 
-def _abs_diff_is_metric(vals: Sequence[float], tol: float) -> bool:
-    """True when the table ``|a - b|`` of ``vals`` passes :func:`find_violations`.
+def _abs_diff_is_metric(vals: Sequence[float], tol: float) -> float | None:
+    """The least entry off the diagonal of the table ``|a - b|`` of ``vals``
+    (inf for fewer than two values) when that table passes
+    :func:`find_violations`, and None when this cannot be shown.
+
+    The least entry is the least difference of two neighbours in sorted
+    order: the entry of values a < b is fl(b - a) (rounding is odd, so
+    ``abs(a - b)`` is that double), and any two values hold a neighbouring
+    pair between them, whose exact difference is no larger, so by monotone
+    rounding neither is its computed one.
 
     Sufficient, not necessary: the values are finite and pairwise distinct
     under ``==`` (so ``0.0`` and ``-0.0`` count as equal), their diameter
@@ -377,12 +417,13 @@ def _abs_diff_is_metric(vals: Sequence[float], tol: float) -> bool:
     positive off the diagonal, as :func:`build_finite_space` requires.
     """
     if not all(math.isfinite(v) for v in vals):
-        return False
+        return None
     ordered = sorted(vals)
-    if any(a == b for a, b in zip(ordered, ordered[1:])):
-        return False
+    least = min(map(sub, ordered[1:], ordered), default=math.inf)
+    if not least > 0.0:
+        return None
     diam = ordered[-1] - ordered[0] if ordered else 0.0
-    return math.isfinite(diam) and tol >= 16 * _UNIT_ROUNDOFF * diam
+    return least if math.isfinite(diam) and tol >= 16 * _UNIT_ROUNDOFF * diam else None
 
 
 def _number_label(v: float) -> str:
@@ -541,11 +582,13 @@ def random_space(
     ``weight_range``, then closed under shortest paths by Floyd–Warshall
     (see :func:`_close_under_shortest_paths`).  When
     :func:`_closure_is_metric` proves the closed table valid, the space is
-    built without the O(n^3) scan.  Otherwise a closed entry may exceed a
-    rounded sum of two others by more than the absolute ``DEFAULT_TOL``
-    (with weights spanning 1e-300 to 1e300, say), so
-    :func:`build_finite_space` validates the table, with the same result
-    and the same exceptions, and may raise :class:`MetricInvalid`.
+    built without the O(n^3) scan, with its least entry above the diagonal
+    as the least distance (the closure keeps the table symmetric).
+    Otherwise a closed entry may exceed a rounded sum of two others by more
+    than the absolute ``DEFAULT_TOL`` (with weights spanning 1e-300 to
+    1e300, say), so :func:`build_finite_space` validates the table, with
+    the same result and the same exceptions, and may raise
+    :class:`MetricInvalid`.
     """
     if n_points < 1:
         raise ValueError("n_points must be >= 1")
@@ -564,7 +607,9 @@ def random_space(
     _close_under_shortest_paths(dist)
     labels = [f"p{i}" for i in range(n)]
     if _closure_is_metric(n, max(map(max, dist)), DEFAULT_TOL):
-        return FiniteMetricSpace(tuple(labels), tuple(map(tuple, dist)), DEFAULT_TOL)
+        space = FiniteMetricSpace(tuple(labels), tuple(map(tuple, dist)), DEFAULT_TOL)
+        above = chain.from_iterable([row[i + 1 :] for i, row in enumerate(dist)])
+        return _recorded(space, min(above, default=math.inf))
     return build_finite_space(labels, dist)
 
 

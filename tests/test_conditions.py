@@ -6,6 +6,7 @@ import pytest
 from kannanlab import (
     ConditionKind,
     ConditionSpec,
+    FiniteMetricSpace,
     PairMode,
     SpaceMismatch,
     brute_force_points,
@@ -26,9 +27,10 @@ from kannanlab import (
     sigma_kannan,
     sigma_s_kannan,
     solve,
+    space_from_values,
     SelfMap,
 )
-from kannanlab.conditions import PowerOverflow, pairing
+from kannanlab.conditions import Pairing, PowerOverflow, pairing
 
 
 def test_classical_fails_on_five_point_for_every_alpha(five_point):
@@ -328,3 +330,43 @@ def test_a_power_beyond_the_double_range_raises_from_the_count():
     for mode in PairMode:
         with pytest.raises(PowerOverflow, match="w = 2"):
             check_condition(space, identity_map(space), None, spec, mode)
+
+
+def test_a_w1_sweep_that_fails_in_its_first_row_builds_only_that_row(monkeypatch):
+    # 30 evenly spaced points, T the identity: each point is its own class,
+    # s = 0, and pair (0, 1) fails every kind at w = 1 (in the all mode the
+    # sigma forms fail already at (0, 0), as eval(0, 0) = 0).  The positive mode
+    # counts from the recorded least distance 1 and the all mode is n^2, so
+    # neither count reads the table.
+    tables = []
+    build = Pairing.table
+    monkeypatch.setattr(Pairing, "table", lambda p: tables.append(build(p)) or tables[-1])
+    space = space_from_values(range(30))
+    t_map = identity_map(space)
+    sigma = gallery("chi", alpha=0.4)
+    specs = (classical_kannan(0.3), sigma_kannan(sigma), sigma_s_kannan(sigma),
+             s_dominated(sigma, 1), malceski(0.3, 0.2))
+    for spec in specs:
+        for mode, checked in ((PairMode.POSITIVE_PAIRS, 870), (PairMode.ALL_ORDERED_PAIRS, 900)):
+            report = check_condition(space, t_map, t_map, spec, mode)
+            assert (report.witness.x, report.pairs_checked) == ("0", checked)
+            assert list(tables[-1]) == [0], (spec.kind, mode)
+
+
+def test_a_directly_built_space_keeps_the_per_entry_count():
+    # A table built without validation records no least distance, so the
+    # count reads each entry: the distinct points a and b at distance 0 are
+    # skipped in the positive mode, and the NaN between b and c is checked
+    # in neither mode.
+    nan = float("nan")
+    space = FiniteMetricSpace(
+        ("a", "b", "c"), ((0.0, 0.0, 1.0), (0.0, 0.0, nan), (1.0, nan, 0.0))
+    )
+    assert space._least_distance is None
+    t_map = identity_map(space)
+    counts = [
+        (report.pairs_checked, report.pairs_skipped)
+        for mode in PairMode
+        for report in [check_condition(space, t_map, None, classical_kannan(0.3), mode)]
+    ]
+    assert counts == [(2, 7), (7, 2)]

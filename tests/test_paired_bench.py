@@ -50,3 +50,16 @@ def test_a_lower_is_better_metric_wins_where_the_change_is_lower():
     # The parent has no spread, so any better median clears it.
     assert row["clears_spread"] is True
     assert compare(change, parent, "lower")["clears_spread"] is False
+
+
+def test_a_change_is_within_the_bound_when_its_median_is_worse_by_at_most_that_share():
+    parent = [100.0, 104.0, 96.0]
+    # Medians 100 against 75 / 74.9: a higher-is-better metric may fall by
+    # a quarter, a lower-is-better one rise by a quarter.
+    assert compare(parent, [75.0, 80.0, 70.0], "higher", 0.25)["within_bound"] is True
+    assert compare(parent, [74.9, 80.0, 70.0], "higher", 0.25)["within_bound"] is False
+    assert compare(parent, [125.0, 90.0, 130.0], "lower", 0.25)["within_bound"] is True
+    assert compare(parent, [125.1, 90.0, 130.0], "lower", 0.25)["within_bound"] is False
+    # A better median is always within; without a bound there is no verdict.
+    assert compare(parent, [50.0, 50.0, 50.0], "lower", 0.0)["within_bound"] is True
+    assert "within_bound" not in compare(parent, parent, "lower")

@@ -195,6 +195,66 @@ def test_abs_diff_spaces_skip_the_scan_when_proved():
         assert build_truncated_harmonic_space(60).space.n == 117
 
 
+def _least_off_the_diagonal(dist):
+    """The least entry off the diagonal, by a plain double loop (inf for
+    fewer than two points)."""
+    least = math.inf
+    for i, row in enumerate(dist):
+        for j, d in enumerate(row):
+            if i != j and d < least:
+                least = d
+    return least
+
+
+@given(
+    row=_ROW,
+    tol=st.sampled_from([0.0, 1e-12, DEFAULT_TOL, 1.0]),
+    diagonal=st.sampled_from([0.0, -0.0, 5e-10, -5e-10]),
+    n=st.integers(1, 30),
+    seed=st.integers(0, 2**32 - 1),
+    weight_range=st.sampled_from(
+        [(0.5, 2.0), (1e-12, 1e-10), (1e-3, 1e3), (1e-10, 1e10), (5e-324, 1e-300)]
+    ),
+    skew=st.booleans(),
+)
+@example(row=[0.0, 5e-10, 1.0], tol=DEFAULT_TOL, diagonal=0.0, n=1, seed=0,
+         weight_range=(0.5, 2.0), skew=False)
+@example(row=[0.0, 5e-10, 1.0], tol=DEFAULT_TOL, diagonal=0.0, n=1, seed=0,
+         weight_range=(0.5, 2.0), skew=True)
+@settings(max_examples=300, deadline=None)
+def test_each_recording_constructor_records_the_least_distance_off_the_diagonal(
+    row, tol, diagonal, n, seed, weight_range, skew
+):
+    # space_from_values proves or scans; build_finite_space scans, here
+    # tables with sub-tolerance distances and diagonal entries within tol,
+    # and with ``skew`` a table that is symmetric only within tol, whose
+    # least entry lies below the diagonal; random_space proves, or scans
+    # beside a wide weight range.
+    labels = [f"p{i}" for i in range(len(row))]
+    table = [[abs(a - b) for b in row] for a in row]
+    for i in range(0, len(row), 2):
+        table[i][i] = diagonal
+    if skew and len(row) > 1:
+        i, j = min(
+            ((i, j) for i in range(len(row)) for j in range(i + 1, len(row))),
+            key=lambda ij: table[ij[0]][ij[1]],
+        )
+        # Lower by at most 1e-10, below the tolerance.
+        table[j][i] = max(table[i][j] - 1e-10, table[i][j] / 2)
+    builds = (
+        lambda: space_from_values(row, labels, tol),
+        lambda: build_finite_space(labels, table, max(tol, DEFAULT_TOL)),
+        lambda: random_space(n, random.Random(seed), weight_range),
+    )
+    for build in builds:
+        try:
+            space = build()
+        except ValueError:  # MetricInvalid included
+            continue
+        assert space._least_distance == _least_off_the_diagonal(space.dist)
+    assert FiniteMetricSpace(("a", "b"), ((0.0, 1.0), (1.0, 0.0)))._least_distance is None
+
+
 def test_every_falsified_verdict_replays():
     members = [
         gallery("gamma"),

@@ -12,10 +12,12 @@ S --seconds X --trace 0`` in their own directory, one after the other: the
 parent first at the first, third, ... seed, the change first at the others.
 Then, for each end-to-end metric of ``BENCHMARK.json``, it prints the
 change/parent ratio per seed, how many pairs the change wins, and each
-side's median and quartiles; and whether the change's median is better than
-the parent's by more than the parent's quartile spread.  ``--json`` writes
-the runs and these figures to a file.  Neither checkout is changed, apart
-from what perfbench itself writes under ``.perfbench/``.
+side's median and quartiles; whether the change's median is better than
+the parent's by more than the parent's quartile spread; and whether it is
+within the metric's ``bound``, worse than the parent's median by at most
+that share of it.  ``--json`` writes the runs and these figures to a
+file.  Neither checkout is changed, apart from what perfbench itself
+writes under ``.perfbench/``.
 """
 
 from __future__ import annotations
@@ -52,24 +54,31 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def compare(parent: list[float], change: list[float], better: str) -> dict:
+def compare(
+    parent: list[float], change: list[float], better: str, bound: float | None = None
+) -> dict:
     """The paired comparison of one metric: ``parent[k]`` and ``change[k]``
     are the two runs of pair k, and ``better`` is ``"higher"`` or
     ``"lower"``.  A pair is won when the change is strictly better; the gain
     clears the spread when the medians differ, the change's way, by more
-    than the parent's quartile spread."""
+    than the parent's quartile spread.  Given the metric's ``bound``, the
+    change is within it when its median is worse than the parent's by at
+    most ``bound`` times the parent's median."""
     sign = 1.0 if better == "higher" else -1.0
     sides = {}
     for side, runs in zip(SIDES, (parent, change)):
         q1, median, q3 = quartiles(runs)
         sides[side] = {"median": median, "q1": q1, "q3": q3, "runs": runs}
     gain = sign * (sides["change"]["median"] - sides["parent"]["median"])
-    return {
+    row = {
         **sides,
         "per_seed_ratio": [c / p if p else float("nan") for p, c in zip(parent, change)],
         "change_better_pairs": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
         "clears_spread": gain > sides["parent"]["q3"] - sides["parent"]["q1"],
     }
+    if bound is not None:
+        row["within_bound"] = gain >= -bound * sides["parent"]["median"]
+    return row
 
 
 def run_side(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -109,7 +118,7 @@ def main(argv=None) -> int:
     for metric in BENCHMARK["end_to_end"]:
         name = metric["name"]
         runs = [[r["metrics"][name]["value"] for r in results[side]] for side in SIDES]
-        row = compare(*runs, metric["better"])
+        row = compare(*runs, metric["better"], metric["bound"])
         report["metrics"][name] = row
         p, c = row["parent"], row["change"]
         print(f"{name} ({metric['better']} is better): change wins {row['change_better_pairs']}"
@@ -117,7 +126,8 @@ def main(argv=None) -> int:
               + " ".join(f"{x:.3f}" for x in row["per_seed_ratio"]))
         print(f"  parent median {p['median']:.6g} (q1 {p['q1']:.6g}, q3 {p['q3']:.6g}); change "
               f"median {c['median']:.6g} (q1 {c['q1']:.6g}, q3 {c['q3']:.6g}); gain clears the "
-              f"parent's spread: {row['clears_spread']}")
+              f"parent's spread: {row['clears_spread']}; within the bound {metric['bound']:g}: "
+              f"{row['within_bound']}")
     for side in SIDES:
         shares = sorted(set(report[f"{side}_failed_share"]))
         print(f"{side}: failed share {', '.join(f'{s:.6g}' for s in shares)}; "
